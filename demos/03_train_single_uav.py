@@ -18,7 +18,7 @@ from swarmcover import (
 grid = load_bundled_map("grove_5x5")
 spec = ExperimentSpec(map_id="grove_5x5", grid=grid, n_uavs=1, mode=LOCAL)
 schedule = spec.epsilon_schedule()
-budget = step_budget_from_flight_time(grid, spec.n_uavs, spec.step_budget)
+budget = step_budget_from_flight_time(grid, spec.step_budget)
 
 print(f"map grove_5x5: {grid.rows}x{grid.cols}, "
       f"step budget {budget} actions per episode\n")

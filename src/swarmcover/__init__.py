@@ -4,59 +4,26 @@ Q-learning on a small from-scratch dense network.
 The public surface mirrors the module layout: ``gridworld`` for maps and
 swarm dynamics, ``densenet`` for the Q-network, ``agent`` for the policy
 and replay machinery, ``experiment`` for seeded runs and aggregation,
-``cli`` for the command line front end.
+``cli`` for the command line front end. The names below are the ones the
+demos and the README use, plus the errors a caller may want to catch;
+everything else is imported from its module.
 """
 
-from .agent import (
-    GLOBAL,
-    LOCAL,
-    MODES,
-    ControllerConfig,
-    EpsilonSchedule,
-    Experience,
-    ReplayMemory,
-    SwarmController,
-    bellman_target,
-    select_action,
-    step_swarm,
-    train_from_memory,
-)
-from .densenet import (
-    QNetwork,
-    ShapeError,
-    NumericalError,
-    forward,
-    init_network,
-    load_network,
-    save_network,
-    softmax_policy_view,
-    train_step,
-)
+from .agent import GLOBAL, LOCAL
+from .densenet import NumericalError, forward, init_network, train_step
 from .experiment import (
-    AggregateStats,
     AllRunsFailedError,
     ConfigError,
-    EpisodeRecord,
     ExperimentSpec,
-    RunResult,
     aggregate,
-    run_episode,
     run_experiment,
     run_seed,
-    run_sweep,
     step_budget_from_flight_time,
 )
 from .gridworld import (
     Action,
-    DisconnectedMapError,
-    EmptyMapError,
-    FormatError,
-    GridMap,
     MapError,
     MoveKind,
-    MoveOutcome,
-    SwarmState,
-    bundled_map_ids,
     encode_observation,
     initial_swarm_state,
     is_coverage_complete,
@@ -64,7 +31,6 @@ from .gridworld import (
     new_cell_reward,
     parse_map,
     resolve_map,
-    start_positions,
     transition,
     unvisited_free_count,
 )
@@ -73,55 +39,28 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action",
-    "AggregateStats",
     "AllRunsFailedError",
     "ConfigError",
-    "ControllerConfig",
-    "DisconnectedMapError",
-    "EmptyMapError",
-    "EpisodeRecord",
-    "EpsilonSchedule",
-    "Experience",
     "ExperimentSpec",
-    "FormatError",
     "GLOBAL",
-    "GridMap",
     "LOCAL",
-    "MODES",
     "MapError",
     "MoveKind",
-    "MoveOutcome",
     "NumericalError",
-    "QNetwork",
-    "ReplayMemory",
-    "RunResult",
-    "ShapeError",
-    "SwarmController",
-    "SwarmState",
+    "__version__",
     "aggregate",
-    "bellman_target",
-    "bundled_map_ids",
     "encode_observation",
     "forward",
     "init_network",
     "initial_swarm_state",
     "is_coverage_complete",
     "load_bundled_map",
-    "load_network",
     "new_cell_reward",
     "parse_map",
     "resolve_map",
-    "run_episode",
     "run_experiment",
     "run_seed",
-    "run_sweep",
-    "save_network",
-    "select_action",
-    "softmax_policy_view",
-    "start_positions",
     "step_budget_from_flight_time",
-    "step_swarm",
-    "train_from_memory",
     "train_step",
     "transition",
     "unvisited_free_count",

@@ -17,16 +17,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .densenet import (
-    DEFAULT_LEARNING_RATE,
-    QNetwork,
-    forward,
-    init_network,
-    train_step,
-)
+from .densenet import QNetwork, forward, init_network, train_step
 from .gridworld import (
     Action,
     GridMap,
@@ -36,6 +31,9 @@ from .gridworld import (
     transition,
 )
 
+if TYPE_CHECKING:
+    from .experiment import ExperimentSpec
+
 LOCAL = "local"
 GLOBAL = "global"
 MODES = (LOCAL, GLOBAL)
@@ -43,9 +41,6 @@ MODES = (LOCAL, GLOBAL)
 DEFAULT_EPSILON = 0.49
 DEFAULT_EPSILON_DECAY = 0.93
 DEFAULT_EPSILON_MIN = 0.05
-DEFAULT_GAMMA = 0.83
-DEFAULT_MEMORY_SIZE = 60
-DEFAULT_BATCH_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,7 @@ class Experience:
 class ReplayMemory:
     """Bounded FIFO buffer of experiences (oldest evicted first)."""
 
-    def __init__(self, capacity: int = DEFAULT_MEMORY_SIZE) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
@@ -104,59 +99,29 @@ class ReplayMemory:
         return [self._buffer[int(i)] for i in indices]
 
 
-@dataclass(frozen=True)
-class ControllerConfig:
-    mode: str = LOCAL
-    gamma: float = DEFAULT_GAMMA
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    batch_size: int = DEFAULT_BATCH_SIZE
-    memory_size: int = DEFAULT_MEMORY_SIZE
-    allow_shared_cells: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.memory_size < 1:
-            raise ValueError("memory_size must be positive")
-
-
 class SwarmController:
-    """Networks and replay memories for one run, wired by mode.
+    """Networks and replay memories for one run, wired by the spec's mode.
 
     Local mode builds one (network, memory) pair per UAV; global mode
     builds a single shared pair. Construction draws initial weights from
     ``rng`` in UAV order, so a fixed seed fixes every parameter.
     """
 
-    def __init__(
-        self,
-        grid: GridMap,
-        n_uavs: int,
-        config: ControllerConfig,
-        rng: np.random.Generator,
-    ) -> None:
-        if n_uavs < 1:
-            raise ValueError("n_uavs must be positive")
-        self.config = config
-        self.n_uavs = n_uavs
-        n_models = n_uavs if config.mode == LOCAL else 1
+    def __init__(self, spec: ExperimentSpec, rng: np.random.Generator) -> None:
+        self.spec = spec
+        grid = spec.grid
+        n_models = spec.n_uavs if spec.mode == LOCAL else 1
         self.networks = [
-            init_network(grid.rows, grid.cols, rng, config.learning_rate)
+            init_network(grid.rows, grid.cols, rng, spec.learning_rate)
             for _ in range(n_models)
         ]
-        self.memories = [ReplayMemory(config.memory_size) for _ in range(n_models)]
+        self.memories = [ReplayMemory(spec.memory_size) for _ in range(n_models)]
 
     def network_for(self, uav: int) -> QNetwork:
-        return self.networks[uav if self.config.mode == LOCAL else 0]
+        return self.networks[uav if self.spec.mode == LOCAL else 0]
 
     def memory_for(self, uav: int) -> ReplayMemory:
-        return self.memories[uav if self.config.mode == LOCAL else 0]
+        return self.memories[uav if self.spec.mode == LOCAL else 0]
 
     def record(self, uav: int, experience: Experience) -> None:
         self.memory_for(uav).append(experience)
@@ -187,17 +152,17 @@ def bellman_target(
 def train_from_memory(
     memory: ReplayMemory,
     net: QNetwork,
-    config: ControllerConfig,
+    spec: ExperimentSpec,
     rng: np.random.Generator,
 ) -> float:
     """One training pass: sample up to batch_size experiences and apply a
     train_step per sample, recomputing each Bellman target with the
     network as it stands at that point. Returns the mean loss."""
-    batch = memory.sample(config.batch_size, rng)
+    batch = memory.sample(spec.batch_size, rng)
     total_loss = 0.0
     for exp in batch:
         next_qvalues = forward(net, exp.next_observation)
-        target = bellman_target(exp.reward, config.gamma, next_qvalues, exp.terminal)
+        target = bellman_target(exp.reward, spec.gamma, next_qvalues, exp.terminal)
         _, loss = train_step(net, exp.observation, int(exp.action), target)
         total_loss += loss
     return total_loss / len(batch)
@@ -223,7 +188,7 @@ def step_swarm(
         qvalues = forward(controller.network_for(uav), observation)
         action = select_action(qvalues, epsilon, rng)
         state, outcome = transition(
-            grid, state, uav, action, controller.config.allow_shared_cells
+            grid, state, uav, action, controller.spec.allow_shared_cells
         )
         next_observation = encode_observation(grid, state)
         done = is_coverage_complete(grid, state) or state.global_step >= step_budget
@@ -231,7 +196,7 @@ def step_swarm(
         experiences.append(experience)
         controller.record(uav, experience)
         train_from_memory(
-            controller.memory_for(uav), controller.network_for(uav), controller.config, rng
+            controller.memory_for(uav), controller.network_for(uav), controller.spec, rng
         )
         if done:
             break

@@ -18,30 +18,20 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
+import itertools
 import json
 import os
 import re
 import sys
 
-from . import experiment
-from .agent import (
-    DEFAULT_EPSILON,
-    DEFAULT_EPSILON_DECAY,
-    DEFAULT_EPSILON_MIN,
-    DEFAULT_GAMMA,
-    DEFAULT_MEMORY_SIZE,
-    DEFAULT_BATCH_SIZE,
-    LOCAL,
-    MODES,
-)
-from .densenet import DEFAULT_LEARNING_RATE
+from .agent import MODES
 from .experiment import (
-    DEFAULT_MAX_EPISODES,
-    DEFAULT_SEEDS,
     AllRunsFailedError,
     ConfigError,
     ExperimentSpec,
     RunResult,
+    SweepOptions,
     aggregate,
     results_rows,
     run_sweep,
@@ -65,63 +55,56 @@ TRACE_SUFFIX = ".traces.json"
 UNVISITED_CHAR = "·"  # ·
 VISITED_CHAR = "▪"  # ▪
 
-_DEFAULTS_TEXT = f"""\
-defaults (used wherever the config file is silent):
-  epsilon {DEFAULT_EPSILON}, epsilon_decay {DEFAULT_EPSILON_DECAY}, epsilon_min {DEFAULT_EPSILON_MIN},
-  gamma {DEFAULT_GAMMA}, memory_size {DEFAULT_MEMORY_SIZE} experiences, batch_size {DEFAULT_BATCH_SIZE},
-  learning_rate {DEFAULT_LEARNING_RATE}, episodes {DEFAULT_MAX_EPISODES} per run,
-  seeds {", ".join(str(s) for s in DEFAULT_SEEDS)}, step budget 100 x free cells
+# Every config key is a field of ExperimentSpec or SweepOptions; the field
+# metadata gives its section, key name, parser and help text.
+_FIELDS = [
+    f
+    for f in dataclasses.fields(ExperimentSpec) + dataclasses.fields(SweepOptions)
+    if f.metadata
+]
 
-exit codes: 0 success, 1 configuration error, 2 runtime error
-"""
 
-_RUN_EPILOG = f"""\
-configuration file (INI format):
-  [run]
-    maps         comma-separated bundled map ids or map file paths (required)
-    uavs         swarm sizes to sweep, e.g. "1, 2, 3" (default: 1)
-    modes        any of {", ".join(MODES)} (default: {LOCAL})
-    seeds        integer seeds (default: {", ".join(str(s) for s in DEFAULT_SEEDS)})
-    episodes     episodes per run (default: {DEFAULT_MAX_EPISODES})
-    step_budget  per-episode cap on total swarm actions
-                 (default: 100 x free cells of the map)
-    output       results CSV path (default: results.csv)
-    log_traces   also write best-episode traces for `render` (default: false)
-    parallelism  worker processes for independent runs (default: 1)
-  [training]
-    epsilon {DEFAULT_EPSILON}, epsilon_decay {DEFAULT_EPSILON_DECAY}, epsilon_min {DEFAULT_EPSILON_MIN}, gamma {DEFAULT_GAMMA},
-    memory_size {DEFAULT_MEMORY_SIZE}, learning_rate {DEFAULT_LEARNING_RATE}, batch_size {DEFAULT_BATCH_SIZE},
-    allow_shared_cells false
+def _key(f: dataclasses.Field) -> str:
+    return f.metadata["key"] or f.name
 
-unknown keys are rejected. command line flags override file values.
-
-environment:
-  {OUTPUT_DIR_ENV}  directory prepended to relative output paths
-"""
 
 _KNOWN_KEYS = {
-    "run": {
-        "maps",
-        "uavs",
-        "modes",
-        "seeds",
-        "episodes",
-        "step_budget",
-        "output",
-        "log_traces",
-        "parallelism",
-    },
-    "training": {
-        "epsilon",
-        "epsilon_decay",
-        "epsilon_min",
-        "gamma",
-        "memory_size",
-        "learning_rate",
-        "batch_size",
-        "allow_shared_cells",
-    },
+    section: {_key(f) for f in _FIELDS if f.metadata["section"] == section}
+    for section in dict.fromkeys(f.metadata["section"] for f in _FIELDS)
 }
+
+
+def _default_text(f: dataclasses.Field) -> str:
+    value = f.default
+    if value is dataclasses.MISSING or value is None:
+        return ""  # required, or the help text says what the default is
+    if isinstance(value, bool):
+        value = "true" if value else "false"
+    elif isinstance(value, tuple):
+        value = ", ".join(map(str, value))
+    return f" (default: {value})"
+
+
+def _help_text() -> str:
+    width = 2 + max(len(_key(f)) for f in _FIELDS)
+    lines = ["configuration file (INI format):"]
+    for section in _KNOWN_KEYS:
+        lines.append(f"  [{section}]")
+        lines.extend(
+            f"    {_key(f):<{width}}{f.metadata['help']}{_default_text(f)}"
+            for f in _FIELDS
+            if f.metadata["section"] == section
+        )
+    lines += [
+        "",
+        "unknown keys and sections are rejected. command line flags override file values.",
+        "",
+        "environment:",
+        f"  {OUTPUT_DIR_ENV}  directory prepended to relative output paths",
+        "",
+        "exit codes: 0 success, 1 configuration error, 2 runtime error",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 class RuntimeFailure(RuntimeError):
@@ -137,10 +120,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    epilog = _help_text()
     parser = _Parser(
         prog="swarmcover",
         description="Multi-UAV full-coverage training runs on grid maps.",
-        epilog=_DEFAULTS_TEXT,
+        epilog=epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -148,20 +132,25 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser(
         "run",
         help="run all experiments from a config file and write a results CSV",
-        epilog=_RUN_EPILOG + "\n" + _DEFAULTS_TEXT,
+        epilog=epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     run_p.add_argument("config", help="INI configuration file")
-    run_p.add_argument("--output", help="results CSV path (overrides the file)")
-    run_p.add_argument("--seeds", help="comma-separated seeds (overrides the file)")
-    run_p.add_argument("--episodes", type=int, help="episodes per run")
-    run_p.add_argument("--parallelism", type=int, help="worker processes")
-    run_p.add_argument(
-        "--log-traces",
-        action="store_true",
-        default=None,
-        help="record best-episode traces for `render`",
-    )
+    for f in _FIELDS:
+        if not f.metadata["flag"]:
+            continue
+        key = _key(f)
+        if isinstance(f.default, bool):
+            takes = {"action": "store_true"}
+        else:
+            takes = {"metavar": key.upper()}
+        run_p.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=f.name,
+            default=None,
+            help=f"{f.metadata['help']} (overrides the file)",
+            **takes,
+        )
     run_p.set_defaults(func=cmd_run)
 
     render_p = sub.add_parser(
@@ -196,24 +185,18 @@ def main(argv=None) -> int:
 # kept around so diagnostics can point at the offending line.
 
 
-def _key_line(text: str, section: str, key: str) -> int | None:
+def _line(text: str, section: str, key: str | None = None) -> int | None:
+    """Number of the line that opens [section], or that sets ``key`` in it."""
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1].strip().lower()
-        elif current == section.lower():
+            if key is None and current == section.lower():
+                return lineno
+        elif key is not None and current == section.lower():
             match = re.match(r"([^=:;#]+)[=:]", stripped)
             if match and match.group(1).strip().lower() == key.lower():
-                return lineno
-    return None
-
-
-def _section_line(text: str, section: str) -> int | None:
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            if stripped[1:-1].strip().lower() == section.lower():
                 return lineno
     return None
 
@@ -226,7 +209,11 @@ class _ConfigReader:
                 self.text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        self.parser = configparser.ConfigParser()
+        # Values are taken literally (a '%' in a path is just a '%'), and
+        # there is no default section: [DEFAULT] is an ordinary section
+        # here, so it is rejected like any other unknown one instead of
+        # leaking its keys into [run] and [training].
+        self.parser = configparser.ConfigParser(interpolation=None, default_section=None)
         try:
             self.parser.read_string(self.text, source=path)
         except configparser.Error as exc:
@@ -236,118 +223,65 @@ class _ConfigReader:
     def _reject_unknown(self) -> None:
         for section in self.parser.sections():
             if section not in _KNOWN_KEYS:
-                line = _section_line(self.text, section)
+                line = _line(self.text, section)
                 raise ConfigError(
                     f"{self.path} line {line}: unknown section [{section}]"
                 )
             for key in self.parser.options(section):
                 if key not in _KNOWN_KEYS[section]:
-                    line = _key_line(self.text, section, key)
+                    line = _line(self.text, section, key)
                     raise ConfigError(
                         f"{self.path} line {line}: unknown key {key!r} in [{section}]"
                     )
 
-    def get(self, section: str, key: str, convert, default):
-        if not self.parser.has_option(section, key):
-            return default
-        raw = self.parser.get(section, key).strip()
-        if raw == "":
-            return default
-        try:
-            return convert(raw)
-        except ValueError as exc:
-            line = _key_line(self.text, section, key)
-            raise ConfigError(f"{self.path} line {line}: {key}: {exc}") from exc
-
-
-def _parse_bool(raw: str) -> bool:
-    states = configparser.ConfigParser.BOOLEAN_STATES
-    if raw.lower() not in states:
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    return states[raw.lower()]
-
-
-def _parse_str_list(raw: str) -> list[str]:
-    items = [item.strip() for item in raw.split(",") if item.strip()]
-    if not items:
-        raise ValueError("expected a comma-separated list")
-    return items
-
-
-def _parse_int_list(raw: str) -> list[int]:
-    return [int(item) for item in _parse_str_list(raw)]
-
-
-def _parse_mode_list(raw: str) -> list[str]:
-    modes = [item.lower() for item in _parse_str_list(raw)]
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
-    return modes
-
-
-def _load_run_settings(path: str) -> dict:
-    conf = _ConfigReader(path)
-    settings = {
-        "maps": conf.get("run", "maps", _parse_str_list, None),
-        "uavs": conf.get("run", "uavs", _parse_int_list, [1]),
-        "modes": conf.get("run", "modes", _parse_mode_list, [LOCAL]),
-        "seeds": conf.get("run", "seeds", _parse_int_list, list(DEFAULT_SEEDS)),
-        "episodes": conf.get("run", "episodes", int, DEFAULT_MAX_EPISODES),
-        "step_budget": conf.get("run", "step_budget", int, None),
-        "output": conf.get("run", "output", str, "results.csv"),
-        "log_traces": conf.get("run", "log_traces", _parse_bool, False),
-        "parallelism": conf.get("run", "parallelism", int, 1),
-        "epsilon": conf.get("training", "epsilon", float, DEFAULT_EPSILON),
-        "epsilon_decay": conf.get(
-            "training", "epsilon_decay", float, DEFAULT_EPSILON_DECAY
-        ),
-        "epsilon_min": conf.get("training", "epsilon_min", float, DEFAULT_EPSILON_MIN),
-        "gamma": conf.get("training", "gamma", float, DEFAULT_GAMMA),
-        "memory_size": conf.get("training", "memory_size", int, DEFAULT_MEMORY_SIZE),
-        "learning_rate": conf.get(
-            "training", "learning_rate", float, DEFAULT_LEARNING_RATE
-        ),
-        "batch_size": conf.get("training", "batch_size", int, DEFAULT_BATCH_SIZE),
-        "allow_shared_cells": conf.get(
-            "training", "allow_shared_cells", _parse_bool, False
-        ),
-    }
-    if settings["maps"] is None:
-        raise ConfigError(f"{path}: missing required key 'maps' in [run]")
-    if settings["parallelism"] < 1:
-        line = _key_line(conf.text, "run", "parallelism")
-        raise ConfigError(f"{path} line {line}: parallelism must be positive")
-    return settings
+    def settings(self, cls, args) -> dict:
+        """Field name -> value of every key of the dataclass ``cls`` that the
+        file or a command line flag sets; a flag overrides the file."""
+        settings = {}
+        for f in dataclasses.fields(cls):
+            if not f.metadata:
+                continue  # ExperimentSpec.grid: loaded from the map, not a key
+            key, section, parse = _key(f), f.metadata["section"], f.metadata["parse"]
+            value = None
+            raw = self.parser.get(section, key, fallback="").strip()
+            if raw:
+                try:
+                    value = parse(raw)
+                except ValueError as exc:
+                    line = _line(self.text, section, key)
+                    raise ConfigError(f"{self.path} line {line}: {key}: {exc}") from exc
+            flag = getattr(args, f.name, None)
+            if isinstance(flag, str):
+                try:
+                    flag = parse(flag)
+                except ValueError as exc:
+                    raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from exc
+            if flag is not None:
+                value = flag
+            if value is not None:
+                settings[f.name] = value
+            elif f.default is dataclasses.MISSING:
+                raise ConfigError(
+                    f"{self.path}: missing required key {key!r} in [{section}]"
+                )
+        return settings
 
 
 def _build_specs(settings: dict) -> list[ExperimentSpec]:
-    """One spec per (map, uavs, mode), in the order the config lists them."""
+    """One spec per combination of the sweep keys (maps, uavs, modes), in
+    the order the config lists them; every other setting goes into every
+    spec."""
+    sweeps = {
+        f.name: settings.get(f.name, (f.default,)) for f in _FIELDS if f.metadata["sweep"]
+    }
+    fixed = {name: value for name, value in settings.items() if name not in sweeps}
+    grids = {}
     specs = []
-    for map_name in settings["maps"]:
-        grid = resolve_map(map_name)
-        for n_uavs in settings["uavs"]:
-            for mode in settings["modes"]:
-                specs.append(
-                    ExperimentSpec(
-                        map_id=map_name,
-                        grid=grid,
-                        n_uavs=n_uavs,
-                        mode=mode,
-                        seeds=tuple(settings["seeds"]),
-                        max_episodes=settings["episodes"],
-                        step_budget=settings["step_budget"],
-                        epsilon=settings["epsilon"],
-                        epsilon_decay=settings["epsilon_decay"],
-                        epsilon_min=settings["epsilon_min"],
-                        gamma=settings["gamma"],
-                        memory_size=settings["memory_size"],
-                        learning_rate=settings["learning_rate"],
-                        batch_size=settings["batch_size"],
-                        allow_shared_cells=settings["allow_shared_cells"],
-                        log_traces=settings["log_traces"],
-                    )
-                )
+    for values in itertools.product(*sweeps.values()):
+        combo = dict(zip(sweeps, values))
+        if combo["map_id"] not in grids:
+            grids[combo["map_id"]] = resolve_map(combo["map_id"])
+        specs.append(ExperimentSpec(grid=grids[combo["map_id"]], **combo, **fixed))
     return specs
 
 
@@ -398,28 +332,13 @@ def _print_summary(jobs: list[tuple[ExperimentSpec, list[RunResult]]]) -> None:
 
 
 def cmd_run(args) -> int:
-    settings = _load_run_settings(args.config)
-    if args.output is not None:
-        settings["output"] = args.output
-    if args.seeds is not None:
-        try:
-            settings["seeds"] = _parse_int_list(args.seeds)
-        except ValueError as exc:
-            raise ConfigError(f"--seeds: {exc}") from exc
-    if args.episodes is not None:
-        settings["episodes"] = args.episodes
-    if args.parallelism is not None:
-        if args.parallelism < 1:
-            raise ConfigError("--parallelism must be positive")
-        settings["parallelism"] = args.parallelism
-    if args.log_traces:
-        settings["log_traces"] = True
-
-    specs = _build_specs(settings)
-    all_results = run_sweep(specs, settings["parallelism"])
+    config = _ConfigReader(args.config)
+    options = SweepOptions(**config.settings(SweepOptions, args))
+    specs = _build_specs(config.settings(ExperimentSpec, args))
+    all_results = run_sweep(specs, options.parallelism)
     jobs = list(zip(specs, all_results))
 
-    output_path = _resolve_output_path(settings["output"])
+    output_path = _resolve_output_path(options.output)
     rows = []
     for spec, results in jobs:
         rows.extend(results_rows(spec, results))
@@ -427,7 +346,7 @@ def cmd_run(args) -> int:
         write_results_csv(handle, rows)
 
     written = [output_path]
-    if settings["log_traces"]:
+    if specs[0].log_traces:  # the same in every spec
         entries = []
         for spec, results in jobs:
             entries.extend(trace_entries(spec, results))

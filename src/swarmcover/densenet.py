@@ -6,8 +6,7 @@ the taken action's output; gradients are computed analytically and the
 test suite cross-checks them against central finite differences.
 
 Q-values stay linear (unbounded) so they can regress onto reward-scale
-targets; ``softmax_policy_view`` offers a probability view of the same
-values for reporting, and it never feeds back into training.
+targets.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ N_ACTIONS = 4
 # diverges after an episode of training, so keep a 2.5x margin.
 DEFAULT_LEARNING_RATE = 0.0002
 
-RELU = "relu"
-LINEAR = "linear"
-
 
 class ShapeError(ValueError):
     """Input vector length does not match the network."""
@@ -40,15 +36,6 @@ class NumericalError(ArithmeticError):
 class DenseLayer:
     weights: np.ndarray  # (out_dim, in_dim)
     biases: np.ndarray  # (out_dim,)
-    activation: str  # RELU or LINEAR
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
 
 
 @dataclass
@@ -59,25 +46,14 @@ class QNetwork:
 
     @property
     def input_size(self) -> int:
-        return self.layer1.in_dim
-
-    def copy(self) -> "QNetwork":
-        return QNetwork(
-            layer1=DenseLayer(
-                self.layer1.weights.copy(), self.layer1.biases.copy(), self.layer1.activation
-            ),
-            layer2=DenseLayer(
-                self.layer2.weights.copy(), self.layer2.biases.copy(), self.layer2.activation
-            ),
-            learning_rate=self.learning_rate,
-        )
+        return self.layer1.weights.shape[1]
 
 
-def _init_layer(in_dim: int, out_dim: int, activation: str, rng: np.random.Generator) -> DenseLayer:
+def _init_layer(in_dim: int, out_dim: int, rng: np.random.Generator) -> DenseLayer:
     # Symmetric uniform init scaled by 1/sqrt(fan-in); biases start at zero.
     scale = (1.0 / in_dim) ** 0.5
     weights = rng.uniform(-scale, scale, size=(out_dim, in_dim))
-    return DenseLayer(weights=weights, biases=np.zeros(out_dim), activation=activation)
+    return DenseLayer(weights=weights, biases=np.zeros(out_dim))
 
 
 def init_network(
@@ -94,17 +70,10 @@ def init_network(
         raise ValueError("maps are at least 2x2")
     input_size = 3 * rows * cols
     return QNetwork(
-        layer1=_init_layer(input_size, HIDDEN_UNITS, RELU, rng),
-        layer2=_init_layer(HIDDEN_UNITS, N_ACTIONS, LINEAR, rng),
+        layer1=_init_layer(input_size, HIDDEN_UNITS, rng),
+        layer2=_init_layer(HIDDEN_UNITS, N_ACTIONS, rng),
         learning_rate=learning_rate,
     )
-
-
-def _apply(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    z = layer.weights @ x + layer.biases
-    if layer.activation == RELU:
-        return np.maximum(z, 0.0)
-    return z
 
 
 def forward(net: QNetwork, observation: np.ndarray) -> np.ndarray:
@@ -114,19 +83,8 @@ def forward(net: QNetwork, observation: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"observation has shape {observation.shape}, expected ({net.input_size},)"
         )
-    return _apply(net.layer2, _apply(net.layer1, observation))
-
-
-def softmax_policy_view(qvalues: np.ndarray) -> np.ndarray:
-    """Probability view of the Q-values (read-only; training never uses it).
-
-    Max-subtraction keeps the exponentials finite for any input scale, and
-    the argmax is the same as on the raw Q-values.
-    """
-    qvalues = np.asarray(qvalues, dtype=float)
-    shifted = qvalues - qvalues.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+    hidden = np.maximum(net.layer1.weights @ observation + net.layer1.biases, 0.0)
+    return net.layer2.weights @ hidden + net.layer2.biases
 
 
 def train_step(
@@ -179,51 +137,3 @@ def train_step(
         residual = q_after - target
     return net, float(residual * residual)
 
-
-# Parameter snapshot file: a small text format so runs can be resumed or
-# inspected without pickle. Layout:
-#   line 1: "swarmcover-qnet 1"
-#   line 2: "learning_rate <repr float>"
-#   per layer: "layer <out_dim> <in_dim> <activation>" followed by
-#   out_dim*in_dim weight lines then out_dim bias lines, row-major, one
-#   repr float per line (repr round-trips exactly).
-
-SNAPSHOT_MAGIC = "swarmcover-qnet 1"
-
-
-def save_network(net: QNetwork, path: str) -> None:
-    lines = [SNAPSHOT_MAGIC, f"learning_rate {net.learning_rate!r}"]
-    for layer in (net.layer1, net.layer2):
-        lines.append(f"layer {layer.out_dim} {layer.in_dim} {layer.activation}")
-        lines.extend(repr(v) for v in layer.weights.ravel().tolist())
-        lines.extend(repr(v) for v in layer.biases.tolist())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def load_network(path: str) -> QNetwork:
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0] != SNAPSHOT_MAGIC:
-        raise ValueError(f"{path} is not a network snapshot")
-    key, value = lines[1].split(maxsplit=1)
-    if key != "learning_rate":
-        raise ValueError("snapshot missing learning_rate line")
-    learning_rate = float(value)
-    layers = []
-    pos = 2
-    for _ in range(2):
-        tag, out_dim, in_dim, activation = lines[pos].split()
-        if tag != "layer":
-            raise ValueError(f"expected layer header at line {pos + 1}")
-        out_dim, in_dim = int(out_dim), int(in_dim)
-        pos += 1
-        n_weights = out_dim * in_dim
-        weights = np.array([float(v) for v in lines[pos : pos + n_weights]])
-        pos += n_weights
-        biases = np.array([float(v) for v in lines[pos : pos + out_dim]])
-        pos += out_dim
-        layers.append(
-            DenseLayer(weights.reshape(out_dim, in_dim), biases, activation)
-        )
-    return QNetwork(layer1=layers[0], layer2=layers[1], learning_rate=learning_rate)

@@ -15,23 +15,21 @@ sampling, so reruns reproduce every action and every CSV byte.
 
 from __future__ import annotations
 
+import configparser
 import csv
+import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
 from .agent import (
-    DEFAULT_BATCH_SIZE,
     DEFAULT_EPSILON,
     DEFAULT_EPSILON_DECAY,
     DEFAULT_EPSILON_MIN,
-    DEFAULT_GAMMA,
-    DEFAULT_MEMORY_SIZE,
     LOCAL,
     MODES,
-    ControllerConfig,
     EpsilonSchedule,
     SwarmController,
     step_swarm,
@@ -44,8 +42,6 @@ from .gridworld import (
     start_positions,
 )
 
-DEFAULT_SEEDS = (1, 2, 3, 4, 5)
-DEFAULT_MAX_EPISODES = 30
 STEP_BUDGET_PER_FREE_CELL = 100
 MAX_UAVS = 9
 
@@ -70,38 +66,95 @@ class AllRunsFailedError(RuntimeError):
     """No seed of an experiment produced a covering episode."""
 
 
+# ---------------------------------------------------------------------------
+# The settings table. Every ExperimentSpec field except ``grid`` is also a
+# key of the ``swarmcover run`` config file; the CLI derives its known keys,
+# config loader, flags and help text from the field metadata below.
+
+
+def _items(raw: str) -> list[str]:
+    items = [item.strip() for item in raw.split(",") if item.strip()]
+    if not items:
+        raise ValueError("expected a comma-separated list")
+    return items
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(item) for item in _items(raw))
+
+
+def _lowercase_items(raw: str) -> tuple[str, ...]:
+    return tuple(item.lower() for item in _items(raw))
+
+
+def _boolean(raw: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if raw.lower() not in states:
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    return states[raw.lower()]
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError("must be positive")
+    return value
+
+
+def _setting(default, parse, help_text, *, section, key=None, sweep=False, flag=False):
+    """A field that is also the config key ``key`` (default: the field name)
+    under ``[section]``; ``parse`` turns the key's text into a value. The
+    parser of a ``sweep`` key returns a tuple, and the CLI builds one spec
+    per combination of sweep values. A ``flag`` key is also a command line
+    option that overrides the file."""
+    metadata = dict(
+        section=section, key=key, parse=parse, help=help_text, sweep=sweep, flag=flag
+    )
+    return field(default=default, metadata=metadata)
+
+
+_run = functools.partial(_setting, section="run")
+_training = functools.partial(_setting, section="training")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything one experiment needs: map, swarm size, mode, seeds and
     the training hyperparameters (defaults match the reference setup)."""
 
-    map_id: str
+    map_id: str = _run(
+        MISSING, _items, "comma-separated bundled map ids or map file paths (required)",
+        key="maps", sweep=True,
+    )
     grid: GridMap
-    n_uavs: int = 1
-    mode: str = LOCAL
-    seeds: tuple[int, ...] = DEFAULT_SEEDS
-    max_episodes: int = DEFAULT_MAX_EPISODES
-    step_budget: int | None = None  # None -> 100 x free cells
-    epsilon: float = DEFAULT_EPSILON
-    epsilon_decay: float = DEFAULT_EPSILON_DECAY
-    epsilon_min: float = DEFAULT_EPSILON_MIN
-    gamma: float = DEFAULT_GAMMA
-    memory_size: int = DEFAULT_MEMORY_SIZE
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    batch_size: int = DEFAULT_BATCH_SIZE
-    allow_shared_cells: bool = False
-    log_traces: bool = False
+    n_uavs: int = _run(1, _ints, 'swarm sizes, e.g. "1, 2, 3"', key="uavs", sweep=True)
+    mode: str = _run(
+        LOCAL, _lowercase_items, f"any of {', '.join(MODES)}", key="modes", sweep=True
+    )
+    seeds: tuple[int, ...] = _run((1, 2, 3, 4, 5), _ints, "integer seeds", flag=True)
+    max_episodes: int = _run(30, int, "episodes per run", key="episodes", flag=True)
+    step_budget: int | None = _run(
+        None, int, "per-episode cap on total swarm actions (default: 100 x free cells)"
+    )
+    epsilon: float = _training(DEFAULT_EPSILON, float, "initial exploration rate")
+    epsilon_decay: float = _training(DEFAULT_EPSILON_DECAY, float, "per-episode decay factor")
+    epsilon_min: float = _training(DEFAULT_EPSILON_MIN, float, "floor of epsilon")
+    gamma: float = _training(0.83, float, "discount factor")
+    memory_size: int = _training(60, int, "replay memory capacity, in experiences")
+    learning_rate: float = _training(DEFAULT_LEARNING_RATE, float, "SGD step size")
+    batch_size: int = _training(16, int, "experiences replayed after every move")
+    allow_shared_cells: bool = _training(False, _boolean, "let UAVs stack on one cell")
+    log_traces: bool = _run(
+        False, _boolean, "write best-episode traces for `render`", flag=True
+    )
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            modes = ", ".join(MODES)
+            raise ConfigError(f"mode must be one of {modes}, got {self.mode!r}")
         if not 1 <= self.n_uavs <= MAX_UAVS:
             raise ConfigError(f"n_uavs must be 1..{MAX_UAVS}, got {self.n_uavs}")
-        if self.n_uavs > self.grid.free_count:
-            raise ConfigError(
-                f"{self.n_uavs} UAVs do not fit on {self.grid.free_count} free cells"
-            )
-        try:
+        try:  # also rejects more UAVs than the map has free or start cells
             start_positions(self.grid, self.n_uavs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -122,18 +175,19 @@ class ExperimentSpec:
         if self.memory_size < 1:
             raise ConfigError("memory_size must be positive")
 
-    def controller_config(self) -> ControllerConfig:
-        return ControllerConfig(
-            mode=self.mode,
-            gamma=self.gamma,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            memory_size=self.memory_size,
-            allow_shared_cells=self.allow_shared_cells,
-        )
-
     def epsilon_schedule(self) -> EpsilonSchedule:
         return EpsilonSchedule(self.epsilon, self.epsilon_decay, self.epsilon_min)
+
+
+@dataclass(frozen=True)
+class SweepOptions:
+    """Settings of a whole config-file sweep that belong to no single
+    experiment."""
+
+    output: str = _run("results.csv", str, "results CSV path", flag=True)
+    parallelism: int = _run(
+        1, _positive_int, "worker processes for independent runs", flag=True
+    )
 
 
 @dataclass(frozen=True)
@@ -179,9 +233,7 @@ class AggregateStats:
     n_failed: int
 
 
-def step_budget_from_flight_time(
-    grid: GridMap, n_uavs: int, override: int | None = None
-) -> int:
+def step_budget_from_flight_time(grid: GridMap, override: int | None = None) -> int:
     """Per-episode cap on total swarm actions standing in for a maximum
     flight time: 100 actions per free cell unless overridden."""
     if override is not None:
@@ -200,7 +252,7 @@ def run_episode(
 ) -> EpisodeRecord:
     """Run one episode from a fresh environment reset until coverage or
     budget exhaustion; the controller keeps learning throughout."""
-    state = initial_swarm_state(grid, controller.n_uavs)
+    state = initial_swarm_state(grid, controller.spec.n_uavs)
     moves: list[tuple[int, int]] = []
     done = is_coverage_complete(grid, state) or state.global_step >= step_budget
     while not done:
@@ -224,9 +276,9 @@ def run_seed(spec: ExperimentSpec, seed: int) -> RunResult:
     """One fully deterministic run: a fresh controller trained for
     ``max_episodes`` episodes, everything driven by one generator."""
     rng = np.random.default_rng(seed)
-    controller = SwarmController(spec.grid, spec.n_uavs, spec.controller_config(), rng)
+    controller = SwarmController(spec, rng)
     schedule = spec.epsilon_schedule()
-    budget = step_budget_from_flight_time(spec.grid, spec.n_uavs, spec.step_budget)
+    budget = step_budget_from_flight_time(spec.grid, spec.step_budget)
     episodes = [
         run_episode(
             spec.grid,

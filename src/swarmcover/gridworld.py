@@ -341,10 +341,6 @@ def encode_observation(grid: GridMap, state: SwarmState) -> np.ndarray:
     )
 
 
-def observation_size(grid: GridMap) -> int:
-    return 3 * grid.rows * grid.cols
-
-
 def is_coverage_complete(grid: GridMap, state: SwarmState) -> bool:
     """True once every free cell has been visited (obstacles never count)."""
     return bool(np.all(state.visited | grid.obstacles))

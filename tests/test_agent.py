@@ -6,7 +6,6 @@ import pytest
 from swarmcover.agent import (
     GLOBAL,
     LOCAL,
-    ControllerConfig,
     EpsilonSchedule,
     Experience,
     ReplayMemory,
@@ -17,12 +16,17 @@ from swarmcover.agent import (
     train_from_memory,
 )
 from swarmcover.densenet import forward
+from swarmcover.experiment import ExperimentSpec
 from swarmcover.gridworld import (
     Action,
     initial_swarm_state,
     load_bundled_map,
     parse_map,
 )
+
+
+def make_spec(grid, n_uavs=1, mode=LOCAL, **kwargs):
+    return ExperimentSpec(map_id="test", grid=grid, n_uavs=n_uavs, mode=mode, **kwargs)
 
 
 def make_experience(marker=0.0, terminal=False, n=4):
@@ -34,7 +38,7 @@ def make_experience(marker=0.0, terminal=False, n=4):
 def zeroed_controller(grid, n_uavs, mode, seed=0, **config_kwargs):
     """Controller whose networks output all-zero Q-values (argmax -> North)."""
     rng = np.random.default_rng(seed)
-    controller = SwarmController(grid, n_uavs, ControllerConfig(mode=mode, **config_kwargs), rng)
+    controller = SwarmController(make_spec(grid, n_uavs, mode, **config_kwargs), rng)
     for net in controller.networks:
         net.layer1.weights[:] = 0.0
         net.layer2.weights[:] = 0.0
@@ -200,17 +204,6 @@ def test_record_respects_capacity():
     assert next(iter(controller.memory_for(0))).reward == 1.0
 
 
-def test_controller_config_validation():
-    with pytest.raises(ValueError):
-        ControllerConfig(mode="hybrid")
-    with pytest.raises(ValueError):
-        ControllerConfig(gamma=0.0)
-    with pytest.raises(ValueError):
-        ControllerConfig(learning_rate=-1.0)
-    with pytest.raises(ValueError):
-        ControllerConfig(batch_size=0)
-
-
 # --- training from memory ------------------------------------------------------------
 
 
@@ -222,7 +215,7 @@ def test_train_from_memory_single_experience():
     memory = controller.memory_for(0)
     memory.append(exp)
     b2_before = net.layer2.biases.copy()
-    loss = train_from_memory(memory, net, controller.config, rng)
+    loss = train_from_memory(memory, net, controller.spec, rng)
     # zeroed weights: only the taken action's output bias moves, once
     assert net.layer2.biases[Action.EAST] != b2_before[Action.EAST]
     assert np.isfinite(loss)
@@ -238,7 +231,7 @@ def test_train_from_memory_zero_learning_rate():
         memory.append(make_experience(marker=i))
     w1 = net.layer1.weights.copy()
     b2 = net.layer2.biases.copy()
-    loss = train_from_memory(memory, net, controller.config, rng)
+    loss = train_from_memory(memory, net, controller.spec, rng)
     assert np.isfinite(loss)
     assert np.array_equal(net.layer1.weights, w1)
     assert np.array_equal(net.layer2.biases, b2)
@@ -247,9 +240,7 @@ def test_train_from_memory_zero_learning_rate():
 def test_train_from_memory_deterministic():
     def run():
         rng = np.random.default_rng(5)
-        controller = SwarmController(
-            parse_map("..\n.."), 1, ControllerConfig(), rng
-        )
+        controller = SwarmController(make_spec(parse_map("..\n..")), rng)
         memory = controller.memory_for(0)
         exp_rng = np.random.default_rng(99)
         for i in range(30):
@@ -264,7 +255,7 @@ def test_train_from_memory_deterministic():
             )
         net = controller.networks[0]
         losses = [
-            train_from_memory(memory, net, controller.config, rng) for _ in range(5)
+            train_from_memory(memory, net, controller.spec, rng) for _ in range(5)
         ]
         return losses, net.layer1.weights.copy()
 
@@ -324,7 +315,7 @@ def test_step_swarm_budget_exhaustion_is_terminal():
 def test_step_swarm_local_isolation():
     grid = parse_map("....\n....\n....\n....")
     rng = np.random.default_rng(3)
-    controller = SwarmController(grid, 2, ControllerConfig(mode=LOCAL), rng)
+    controller = SwarmController(make_spec(grid, 2, LOCAL), rng)
     other_w1 = controller.networks[1].layer1.weights.copy()
     state = initial_swarm_state(grid, 2)
     # Drive only UAV 0's pipeline: record into its memory and train its net.
@@ -332,7 +323,7 @@ def test_step_swarm_local_isolation():
     for i in range(20):
         controller.record(0, Experience(obs, Action.EAST, 1.0 + i, obs, False))
     train_from_memory(
-        controller.memory_for(0), controller.network_for(0), controller.config, rng
+        controller.memory_for(0), controller.network_for(0), controller.spec, rng
     )
     assert np.array_equal(controller.networks[1].layer1.weights, other_w1)
     assert len(controller.memory_for(1)) == 0
@@ -343,7 +334,7 @@ def test_step_swarm_local_global_parity_single_uav():
 
     def trace(mode):
         rng = np.random.default_rng(21)
-        controller = SwarmController(grid, 1, ControllerConfig(mode=mode), rng)
+        controller = SwarmController(make_spec(grid, 1, mode), rng)
         state = initial_swarm_state(grid, 1)
         actions = []
         for _ in range(25):
@@ -379,12 +370,12 @@ def test_forward_consistency_through_controller():
     # changes subsequent forwards through the same handle.
     grid = parse_map("..\n..")
     rng = np.random.default_rng(8)
-    controller = SwarmController(grid, 1, ControllerConfig(mode=GLOBAL), rng)
+    controller = SwarmController(make_spec(grid, 1, GLOBAL), rng)
     obs = np.zeros(12)
     before = forward(controller.network_for(0), obs).copy()
     controller.record(0, Experience(obs, Action.NORTH, 50.0, obs, True))
     train_from_memory(
-        controller.memory_for(0), controller.network_for(0), controller.config, rng
+        controller.memory_for(0), controller.network_for(0), controller.spec, rng
     )
     after = forward(controller.network_for(0), obs)
     assert not np.array_equal(before, after)

@@ -1,10 +1,14 @@
 """Command line tests: argument handling, exit codes, output formatting."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from swarmcover.cli import main
+from swarmcover.cli import _KNOWN_KEYS, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TINY_MAP = "12\n.#\n"  # 3 free cells, designated starts for up to 2 UAVs
 
@@ -101,6 +105,18 @@ def test_output_dir_environment_variable(tmp_path, monkeypatch):
     assert (outdir / "env.csv").exists()
 
 
+def test_percent_in_value_is_literal(tmp_path):
+    map_path = write(tmp_path, "tiny.txt", TINY_MAP)
+    out = tmp_path / "out%1.csv"
+    config = write(
+        tmp_path,
+        "percent.ini",
+        f"[run]\nmaps = {map_path}\nseeds = 1\nepisodes = 2\noutput = {out}\n",
+    )
+    assert main(["run", config]) == 0
+    assert [path.name for path in tmp_path.glob("*.csv")] == ["out%1.csv"]
+
+
 def test_training_section_keys_accepted(tmp_path):
     config, _ = tiny_config(
         tmp_path,
@@ -136,6 +152,16 @@ def test_unknown_section_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 4" in err
     assert "plotting" in err
+
+    # [DEFAULT] is no special section: its keys would otherwise leak into
+    # every other section.
+    config = write(
+        tmp_path, "default.ini", f"[DEFAULT]\nepisodes = 1\n\n[run]\nmaps = {map_path}\n"
+    )
+    assert main(["run", config]) == 1
+    err = capsys.readouterr().err
+    assert "line 1" in err
+    assert "unknown section [DEFAULT]" in err
 
 
 def test_bad_value_reports_line_number(tmp_path, capsys):
@@ -190,6 +216,16 @@ def test_help_prints_defaults(argv, capsys):
     out = capsys.readouterr().out
     for value in ("0.49", "0.93", "0.05", "0.83", "60", "30"):
         assert value in out
+
+
+def test_readme_reference_lists_every_config_key():
+    text = README.read_text(encoding="utf-8")
+    reference = text[text.index("## CLI reference") :]
+    documented = {}
+    for section, keys in re.findall(r"^\| (run|training) \| ([^|]+) \|", reference, re.M):
+        for key in keys.split("/"):
+            documented.setdefault(section, set()).add(key.strip())
+    assert documented == _KNOWN_KEYS
 
 
 # --- render -------------------------------------------------------------------------

@@ -5,17 +5,12 @@ import pytest
 
 from swarmcover.densenet import (
     HIDDEN_UNITS,
-    LINEAR,
-    RELU,
     DenseLayer,
     NumericalError,
     QNetwork,
     ShapeError,
     forward,
     init_network,
-    load_network,
-    save_network,
-    softmax_policy_view,
     train_step,
 )
 
@@ -23,11 +18,10 @@ from swarmcover.densenet import (
 def toy_network(learning_rate=0.1):
     """2 inputs -> 1 ReLU hidden unit -> 4 linear outputs, hand-checkable."""
     return QNetwork(
-        layer1=DenseLayer(np.array([[1.0, 2.0]]), np.array([0.5]), RELU),
+        layer1=DenseLayer(np.array([[1.0, 2.0]]), np.array([0.5])),
         layer2=DenseLayer(
             np.array([[1.0], [-1.0], [2.0], [0.0]]),
             np.array([0.0, 1.0, 0.0, 3.0]),
-            LINEAR,
         ),
         learning_rate=learning_rate,
     )
@@ -35,12 +29,8 @@ def toy_network(learning_rate=0.1):
 
 def random_small_network(rng, in_dim=6, hidden=5, learning_rate=1.0):
     return QNetwork(
-        layer1=DenseLayer(
-            rng.normal(0, 0.6, (hidden, in_dim)), rng.normal(0, 0.3, hidden), RELU
-        ),
-        layer2=DenseLayer(
-            rng.normal(0, 0.6, (4, hidden)), rng.normal(0, 0.3, 4), LINEAR
-        ),
+        layer1=DenseLayer(rng.normal(0, 0.6, (hidden, in_dim)), rng.normal(0, 0.3, hidden)),
+        layer2=DenseLayer(rng.normal(0, 0.6, (4, hidden)), rng.normal(0, 0.3, 4)),
         learning_rate=learning_rate,
     )
 
@@ -51,9 +41,7 @@ def random_small_network(rng, in_dim=6, hidden=5, learning_rate=1.0):
 def test_init_shapes_for_5x5_map():
     net = init_network(5, 5, np.random.default_rng(0))
     assert net.layer1.weights.shape == (1013, 75)
-    assert net.layer1.activation == RELU
     assert net.layer2.weights.shape == (4, 1013)
-    assert net.layer2.activation == LINEAR
     assert net.input_size == 75
 
 
@@ -89,8 +77,8 @@ def test_init_rejects_degenerate_maps():
 
 def test_forward_zero_network_is_zero():
     net = QNetwork(
-        layer1=DenseLayer(np.zeros((3, 4)), np.zeros(3), RELU),
-        layer2=DenseLayer(np.zeros((4, 3)), np.zeros(4), LINEAR),
+        layer1=DenseLayer(np.zeros((3, 4)), np.zeros(3)),
+        layer2=DenseLayer(np.zeros((4, 3)), np.zeros(4)),
     )
     assert forward(net, np.ones(4)).tolist() == [0, 0, 0, 0]
 
@@ -115,38 +103,6 @@ def test_forward_shape_error():
     net = toy_network()
     with pytest.raises(ShapeError):
         forward(net, np.ones(3))
-
-
-# --- softmax view ------------------------------------------------------------
-
-
-def test_softmax_uniform_on_equal_inputs():
-    np.testing.assert_allclose(
-        softmax_policy_view(np.array([2.0, 2.0, 2.0, 2.0])), [0.25] * 4
-    )
-
-
-def test_softmax_preserves_argmax_and_sums_to_one():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        q = rng.normal(0, 10, 4)
-        p = softmax_policy_view(q)
-        assert np.argmax(p) == np.argmax(q)
-        assert p.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_softmax_overflow_safety():
-    p = softmax_policy_view(np.array([1000.0, 0.0, 0.0, 0.0]))
-    assert np.isfinite(p).all()
-    assert p[0] == pytest.approx(1.0)
-
-
-def test_softmax_shift_invariance():
-    rng = np.random.default_rng(6)
-    q = rng.normal(0, 3, 4)
-    np.testing.assert_allclose(
-        softmax_policy_view(q), softmax_policy_view(q + 123.456), atol=1e-9
-    )
 
 
 # --- train_step --------------------------------------------------------------
@@ -292,27 +248,3 @@ def test_gradients_match_finite_differences():
             worst = max(worst, float((np.abs(an - nu) / scale).max()))
     assert worst < 1e-4
 
-
-# --- snapshots ---------------------------------------------------------------
-
-
-def test_snapshot_roundtrip(tmp_path):
-    net = init_network(3, 3, np.random.default_rng(13), learning_rate=0.0005)
-    train_step(net, np.ones(27), 1, 12.0)
-    path = tmp_path / "net.txt"
-    save_network(net, str(path))
-    loaded = load_network(str(path))
-    assert loaded.learning_rate == net.learning_rate
-    assert np.array_equal(loaded.layer1.weights, net.layer1.weights)
-    assert np.array_equal(loaded.layer1.biases, net.layer1.biases)
-    assert np.array_equal(loaded.layer2.weights, net.layer2.weights)
-    assert np.array_equal(loaded.layer2.biases, net.layer2.biases)
-    assert loaded.layer1.activation == RELU
-    assert loaded.layer2.activation == LINEAR
-
-
-def test_snapshot_rejects_other_files(tmp_path):
-    path = tmp_path / "junk.txt"
-    path.write_text("not a snapshot\n")
-    with pytest.raises(ValueError):
-        load_network(str(path))

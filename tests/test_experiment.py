@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from swarmcover.agent import ControllerConfig, SwarmController
+from swarmcover.agent import SwarmController
 from swarmcover.experiment import (
     CSV_HEADER,
     AllRunsFailedError,
@@ -85,14 +85,14 @@ def test_spec_rejects_bad_mode_and_hyperparameters():
 
 def test_step_budget_default_is_100_per_free_cell():
     grove = load_bundled_map("grove_5x5")
-    assert step_budget_from_flight_time(grove, 1) == 2100
+    assert step_budget_from_flight_time(grove) == 2100
     all_free_9 = parse_map("\n".join(["." * 9] * 9))
-    assert step_budget_from_flight_time(all_free_9, 3) == 8100
+    assert step_budget_from_flight_time(all_free_9) == 8100
 
 
 def test_step_budget_override_wins():
     grove = load_bundled_map("grove_5x5")
-    assert step_budget_from_flight_time(grove, 1, override=50) == 50
+    assert step_budget_from_flight_time(grove, override=50) == 50
 
 
 # --- run_episode -----------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_step_budget_override_wins():
 def test_episode_covers_tiny_map_within_budget():
     for seed in range(1, 6):
         rng = np.random.default_rng(seed)
-        controller = SwarmController(TINY, 1, ControllerConfig(), rng)
+        controller = SwarmController(tiny_spec(), rng)
         record = run_episode(TINY, controller, 0, 0.49, 100, rng)
         assert record.covered
         assert record.total_actions <= 100
@@ -109,7 +109,7 @@ def test_episode_covers_tiny_map_within_budget():
 
 def test_episode_zero_budget():
     rng = np.random.default_rng(1)
-    controller = SwarmController(TINY, 1, ControllerConfig(), rng)
+    controller = SwarmController(tiny_spec(), rng)
     record = run_episode(TINY, controller, 0, 0.49, 0, rng)
     assert not record.covered
     assert record.total_actions == 0
@@ -117,7 +117,7 @@ def test_episode_zero_budget():
 
 def test_episode_starts_already_covering():
     rng = np.random.default_rng(1)
-    controller = SwarmController(TINY, 4, ControllerConfig(), rng)
+    controller = SwarmController(tiny_spec(n_uavs=4), rng)
     record = run_episode(TINY, controller, 0, 0.49, 100, rng)
     assert record.covered
     assert record.total_actions == 0
@@ -127,7 +127,7 @@ def test_episode_starts_already_covering():
 def test_episode_total_is_sum_of_per_uav_counts():
     grid = parse_map("...\n...\n...")
     rng = np.random.default_rng(9)
-    controller = SwarmController(grid, 2, ControllerConfig(), rng)
+    controller = SwarmController(tiny_spec(grid=grid, n_uavs=2), rng)
     for episode in range(3):
         record = run_episode(grid, controller, episode, 0.5, 200, rng)
         assert record.total_actions == sum(record.per_uav_actions)

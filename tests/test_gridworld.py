@@ -19,7 +19,6 @@ from swarmcover.gridworld import (
     is_coverage_complete,
     load_bundled_map,
     new_cell_reward,
-    observation_size,
     parse_map,
     resolve_map,
     start_positions,
@@ -256,7 +255,6 @@ def test_encoding_shape_for_bundled_maps():
         grid = load_bundled_map(map_id)
         state = initial_swarm_state(grid, 1)
         obs = encode_observation(grid, state)
-        assert obs.shape == (observation_size(grid),)
         assert obs.shape == (3 * grid.rows * grid.cols,)
         assert set(np.unique(obs)) <= {0.0, 1.0}
 
