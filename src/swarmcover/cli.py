@@ -10,14 +10,16 @@ Three subcommands, all thin wrappers over the library:
 * ``maps``            -- list the bundled maps.
 
 Exit codes: 0 success, 1 configuration error (bad flags, bad config
-file, missing or invalid map), 2 runtime error (no matching trace,
-output files unwritable).
+file, missing or invalid map), 2 runtime error (no matching trace, a
+trace that does not replay to its recorded result, output files
+unwritable).
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -43,6 +45,7 @@ from .gridworld import (
     BUNDLED_MAP_NOTES,
     MapError,
     initial_swarm_state,
+    is_coverage_complete,
     load_bundled_map,
     parse_map,
     resolve_map,
@@ -108,7 +111,8 @@ def _help_text() -> str:
 
 
 class RuntimeFailure(RuntimeError):
-    """Errors past configuration: missing traces, unwritable output."""
+    """Errors past configuration: missing or inconsistent traces,
+    unwritable output."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -295,6 +299,13 @@ def _resolve_output_path(output: str) -> str:
     return output
 
 
+def _temp_path(path: str) -> str:
+    """A temporary name for ``path`` in the same directory, so that
+    ``os.replace`` moves it into place within one file system."""
+    head, tail = os.path.split(path)
+    return os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+
+
 def _format_cell(results: list[RunResult]) -> str:
     try:
         stats = aggregate(results)
@@ -342,18 +353,31 @@ def cmd_run(args) -> int:
     rows = []
     for spec, results in jobs:
         rows.extend(results_rows(spec, results))
-    with open(output_path, "w", encoding="utf-8", newline="") as handle:
-        write_results_csv(handle, rows)
-
     written = [output_path]
     if specs[0].log_traces:  # the same in every spec
         entries = []
         for spec, results in jobs:
             entries.extend(trace_entries(spec, results))
-        trace_path = output_path + TRACE_SUFFIX
-        with open(trace_path, "w", encoding="utf-8") as handle:
-            write_traces(handle, entries)
-        written.append(trace_path)
+        written.append(output_path + TRACE_SUFFIX)
+
+    # Each file is written under a temporary name next to its target and
+    # renamed into place once both are complete, so an error part-way
+    # through leaves earlier output as it was, not a truncated file that
+    # looks valid.
+    temps = [_temp_path(path) for path in written]
+    try:
+        with open(temps[0], "w", encoding="utf-8", newline="") as handle:
+            write_results_csv(handle, rows)
+        if specs[0].log_traces:
+            with open(temps[1], "w", encoding="utf-8") as handle:
+                write_traces(handle, entries)
+        for temp, path in zip(temps, written):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        raise
 
     _print_summary(jobs)
     for path in written:
@@ -363,13 +387,28 @@ def cmd_run(args) -> int:
 
 def _render_entry(entry: dict) -> str:
     """Replay a trace entry and draw the final picture: '#' obstacles,
-    digits for final UAV positions, '▪' visited, '·' unvisited."""
+    digits for final UAV positions, '▪' visited, '·' unvisited.
+
+    Raises RuntimeFailure unless the replay is the recorded best episode:
+    exactly ``total_actions`` moves, the last of which completes coverage.
+    """
     grid = parse_map(entry["map"])
     state = initial_swarm_state(grid, entry["n_uavs"])
-    for uav, action in entry["moves"]:
+    moves = entry["moves"]
+    if len(moves) != entry["total_actions"]:
+        raise RuntimeFailure(
+            f"trace has {len(moves)} moves but records {entry['total_actions']} actions"
+        )
+    for made, (uav, action) in enumerate(moves):
+        if is_coverage_complete(grid, state):
+            raise RuntimeFailure(
+                f"trace covers the map after {made} of its {len(moves)} moves"
+            )
         state, _ = transition(
             grid, state, uav, action, entry.get("allow_shared_cells", False)
         )
+    if not is_coverage_complete(grid, state):
+        raise RuntimeFailure("trace does not cover the map when replayed")
     position_digit = {}
     for index in reversed(range(state.n_uavs)):
         position_digit[state.positions[index]] = str(index + 1)

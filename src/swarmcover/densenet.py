@@ -126,8 +126,20 @@ def train_step(
         lr = net.learning_rate
         w2[action] -= lr * grad_q * hidden
         b2[action] -= lr * grad_q
-        w1 -= np.outer(lr * grad_z1, observation)
-        b1 -= lr * grad_z1
+        # dW1 = outer(lr * grad_z1, x), applied only to the columns where x
+        # is nonzero: a zero column of the outer product is an exact 0 and
+        # leaves its weights unchanged. Observations are 0/1 and at most a
+        # third nonzero, so this skips most of the work. The columns that
+        # move get the same products and subtractions as the dense update,
+        # so the result is bit-identical (and since x * 1.0 is exact, 0/1
+        # inputs skip the multiply). W1 stays row-major although that makes
+        # its columns strided: a transposed or Fortran-ordered W1 rounds the
+        # `w1 @ x` matvecs differently.
+        step = lr * grad_z1
+        for j in np.flatnonzero(observation).tolist():
+            x_j = observation[j]
+            w1[:, j] -= step if x_j == 1.0 else step * x_j
+        b1 -= step
 
         # Post-update loss, without a second full forward pass: the layer-1
         # update shifts each pre-activation by exactly

@@ -148,10 +148,6 @@ class SwarmState:
     def n_uavs(self) -> int:
         return len(self.positions)
 
-    @property
-    def visited_count(self) -> int:
-        return int(np.count_nonzero(self.visited))
-
 
 def parse_map(text: str) -> GridMap:
     """Parse map-file text into a validated GridMap.
@@ -355,10 +351,6 @@ BUNDLED_MAP_NOTES = {
     "diagonal_8x8": "obstacle line running down the diagonal",
     "block_9x9": "one large central block with concave notches, to be circled",
 }
-
-
-def bundled_map_ids() -> list[str]:
-    return list(BUNDLED_MAP_NOTES)
 
 
 def load_bundled_map(map_id: str) -> GridMap:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from swarmcover import cli
 from swarmcover.cli import _KNOWN_KEYS, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -272,3 +273,65 @@ def test_render_without_sidecar_exits_two(tmp_path, capsys):
     config, map_path = tiny_config(tmp_path)
     assert main(["run", config]) == 0
     assert main(["render", str(tmp_path / "results.csv"), "--map", map_path, "--seed", "1"]) == 2
+
+
+def edit_sidecar(tmp_path, edit):
+    sidecar = tmp_path / "results.csv.traces.json"
+    data = json.loads(sidecar.read_text())
+    edit(data["traces"][0])
+    sidecar.write_text(json.dumps(data))
+
+
+def drop_last_move(entry):
+    entry["moves"].pop()
+
+
+def drop_last_move_and_recount(entry):
+    entry["moves"].pop()
+    entry["total_actions"] -= 1
+
+
+def add_move_and_recount(entry):
+    entry["moves"].append(entry["moves"][-1])
+    entry["total_actions"] += 1
+
+
+def edit_total(entry):
+    entry["total_actions"] += 1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (drop_last_move, "moves but records"),
+        (edit_total, "moves but records"),
+        (drop_last_move_and_recount, "does not cover"),
+        (add_move_and_recount, "covers the map after"),
+    ],
+)
+def test_render_refuses_trace_that_does_not_replay(tmp_path, capsys, edit, message):
+    csv_path, map_path = run_with_traces(tmp_path)
+    edit_sidecar(tmp_path, edit)
+    capsys.readouterr()
+    assert main(["render", csv_path, "--map", map_path, "--seed", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+# --- atomic output ----------------------------------------------------------------
+
+
+def test_failed_write_leaves_earlier_output(tmp_path, monkeypatch, capsys):
+    csv_path, _ = run_with_traces(tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    def failing_write_traces(handle, entries):
+        handle.write('{"traces": [')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_traces", failing_write_traces)
+    config = str(tmp_path / "run.ini")
+    # Fewer episodes than the earlier run, so a new CSV would differ.
+    assert main(["run", config, "--episodes", "2"]) == 2
+    assert "disk full" in capsys.readouterr().err
+    after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert after == before

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmcover.densenet import (
     HIDDEN_UNITS,
@@ -185,6 +187,66 @@ def test_train_step_deterministic_sequences():
     assert np.array_equal(a.layer1.biases, b.layer1.biases)
     assert np.array_equal(a.layer2.weights, b.layer2.weights)
     assert np.array_equal(a.layer2.biases, b.layer2.biases)
+
+
+# --- sparse layer-1 update ------------------------------------------------------
+
+
+def observation_of(kind, rng, size):
+    if kind == "binary":  # the environment's 0/1 observations
+        return rng.integers(0, 2, size).astype(float)
+    if kind == "sparse_real":
+        return rng.normal(0, 1, size) * (rng.random(size) < 0.3)
+    if kind == "zeros":
+        return np.zeros(size)
+    return rng.normal(0, 1, size)  # "dense": every entry nonzero
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["binary", "sparse_real", "zeros", "dense"]),
+    in_dim=st.integers(1, 12),
+    hidden=st.integers(1, 8),
+    action=st.integers(0, 3),
+    target=st.floats(-100, 100),
+    learning_rate=st.sampled_from([1.0, 0.05, 0.0002]),
+)
+def test_train_step_matches_dense_outer_update(
+    seed, kind, in_dim, hidden, action, target, learning_rate
+):
+    """train_step skips the zero columns of the layer-1 outer product; the
+    result must equal the dense update bit for bit, whatever the input."""
+    rng = np.random.default_rng(seed)
+    net = random_small_network(rng, in_dim, hidden, learning_rate)
+    x = observation_of(kind, rng, in_dim)
+    w1, b1 = net.layer1.weights.copy(), net.layer1.biases.copy()
+    w2, b2 = net.layer2.weights.copy(), net.layer2.biases.copy()
+
+    # The dense reference, gradients computed here from the parameters.
+    z1 = w1 @ x + b1
+    h = np.maximum(z1, 0.0)
+    grad_q = 2.0 * ((w2[action] @ h + b2[action]) - target)
+    grad_z1 = np.where(z1 > 0.0, grad_q * w2[action], 0.0)
+    lr = learning_rate
+    w2[action] -= lr * grad_q * h
+    b2[action] -= lr * grad_q
+    w1 -= np.outer(lr * grad_z1, x)
+    b1 -= lr * grad_z1
+    z1_after = z1 - (lr * (x @ x + 1.0)) * grad_z1
+    residual = w2[action] @ np.maximum(z1_after, 0.0) + b2[action] - target
+
+    _, loss = train_step(net, x, action, target)
+    assert same_bits(net.layer1.weights, w1)
+    assert same_bits(net.layer1.biases, b1)
+    assert same_bits(net.layer2.weights, w2)
+    assert same_bits(net.layer2.biases, b2)
+    assert same_bits(loss, float(residual * residual))
 
 
 # --- gradient oracle ---------------------------------------------------------

@@ -109,7 +109,7 @@ def _openblas_config() -> str:
                      "openblas_get_config64_", "openblas_get_config"):
             get_config = getattr(lib, name, None)
             if get_config is not None:
-                get_config.restype = ctypes.c_char_p
+                get_config.argtypes, get_config.restype = [], ctypes.c_char_p
                 return get_config().decode()
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"{blas.get('openblas configuration', blas.get('name'))} (build time)"

@@ -13,7 +13,6 @@ from swarmcover.gridworld import (
     EmptyMapError,
     FormatError,
     MoveKind,
-    bundled_map_ids,
     encode_observation,
     initial_swarm_state,
     is_coverage_complete,
@@ -85,7 +84,7 @@ def test_parse_gapped_start_digits():
 def test_roundtrip_serialization():
     for text in ("..\n..\n", ".#.\n1.2\n...\n", "#..\n..#\n"):
         assert parse_map(text).to_text() == text
-    for map_id in bundled_map_ids():
+    for map_id in BUNDLED_MAP_NOTES:
         grid = load_bundled_map(map_id)
         assert parse_map(grid.to_text()).to_text() == grid.to_text()
 
@@ -179,9 +178,9 @@ def test_transition_conservation_random_walk():
     rng = np.random.default_rng(11)
     for _ in range(300):
         uav = int(rng.integers(2))
-        before = state.visited_count
+        before = int(np.count_nonzero(state.visited))
         state, outcome = transition(grid, state, uav, int(rng.integers(4)))
-        grew = state.visited_count - before
+        grew = int(np.count_nonzero(state.visited)) - before
         assert grew == (1 if outcome.kind is MoveKind.NEW_CELL else 0)
         if outcome.kind is MoveKind.BLOCKED:
             assert outcome.new_position == state.positions[uav]
@@ -251,7 +250,7 @@ def test_encoding_uav_on_visited_cell():
 
 
 def test_encoding_shape_for_bundled_maps():
-    for map_id in bundled_map_ids():
+    for map_id in BUNDLED_MAP_NOTES:
         grid = load_bundled_map(map_id)
         state = initial_swarm_state(grid, 1)
         obs = encode_observation(grid, state)
@@ -305,7 +304,7 @@ def test_start_positions_too_many_uavs():
 def test_initial_state_pre_visits_starts():
     grid = parse_map("..\n..")
     state = initial_swarm_state(grid, 2)
-    assert state.visited_count == 2
+    assert int(np.count_nonzero(state.visited)) == 2
     assert state.per_uav_actions == (0, 0)
     assert state.global_step == 0
 
@@ -314,7 +313,7 @@ def test_initial_state_pre_visits_starts():
 
 
 def test_bundled_map_inventory():
-    assert len(bundled_map_ids()) == 5
+    assert len(BUNDLED_MAP_NOTES) == 5
     expected_free = {
         "grove_5x5": 21,
         "corners_6x6": 28,
