@@ -7,26 +7,18 @@ experience replay shapes the Q-network.  Early episodes burn most of the
 step budget; trained ones sweep the map in a few dozen actions.
 """
 
-from swarmcover import (
-    LOCAL,
-    ExperimentSpec,
-    load_bundled_map,
-    run_seed,
-    step_budget_from_flight_time,
-)
+from swarmcover import LOCAL, ExperimentSpec, load_bundled_map, run_seed
 
 grid = load_bundled_map("grove_5x5")
 spec = ExperimentSpec(map_id="grove_5x5", grid=grid, n_uavs=1, mode=LOCAL)
-schedule = spec.epsilon_schedule()
-budget = step_budget_from_flight_time(grid, spec.step_budget)
 
 print(f"map grove_5x5: {grid.rows}x{grid.cols}, "
-      f"step budget {budget} actions per episode\n")
+      f"step budget {spec.episode_budget} actions per episode\n")
 print("episode  epsilon  actions  covered")
 
 result = run_seed(spec, seed=3)
 for record in result.episodes:
-    print(f"{record.episode:7d}  {schedule.value(record.episode):7.3f}"
+    print(f"{record.episode:7d}  {spec.epsilon_at(record.episode):7.3f}"
           f"  {record.total_actions:7d}  {'yes' if record.covered else 'no'}")
 
 best = result.best_episode

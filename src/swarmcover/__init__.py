@@ -18,7 +18,6 @@ from .experiment import (
     aggregate,
     run_experiment,
     run_seed,
-    step_budget_from_flight_time,
 )
 from .gridworld import (
     Action,
@@ -60,7 +59,6 @@ __all__ = [
     "resolve_map",
     "run_experiment",
     "run_seed",
-    "step_budget_from_flight_time",
     "train_step",
     "transition",
     "unvisited_free_count",

@@ -1,7 +1,7 @@
 """Q-learning policy layer for the swarm.
 
 Holds the pieces between the grid environment and the experiment loop:
-the per-episode epsilon schedule, the bounded FIFO replay memory, the
+the bounded FIFO replay memory, epsilon-greedy action selection, the
 Bellman target, and the controller that wires networks and memories to
 UAVs in one of two modes:
 
@@ -24,7 +24,6 @@ import numpy as np
 from .densenet import QNetwork, forward, init_network, train_step
 from .gridworld import (
     Action,
-    GridMap,
     SwarmState,
     encode_observation,
     is_coverage_complete,
@@ -37,24 +36,6 @@ if TYPE_CHECKING:
 LOCAL = "local"
 GLOBAL = "global"
 MODES = (LOCAL, GLOBAL)
-
-DEFAULT_EPSILON = 0.49
-DEFAULT_EPSILON_DECAY = 0.93
-DEFAULT_EPSILON_MIN = 0.05
-
-
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    """Per-episode exploration rate: max(minimum, initial * decay^episode)."""
-
-    initial: float = DEFAULT_EPSILON
-    decay_factor: float = DEFAULT_EPSILON_DECAY
-    minimum: float = DEFAULT_EPSILON_MIN
-
-    def value(self, episode_index: int) -> float:
-        if episode_index < 0:
-            raise ValueError("episode_index must be non-negative")
-        return max(self.minimum, self.initial * self.decay_factor**episode_index)
 
 
 @dataclass(frozen=True)
@@ -76,8 +57,6 @@ class ReplayMemory:
     """Bounded FIFO buffer of experiences (oldest evicted first)."""
 
     def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._buffer: deque[Experience] = deque(maxlen=capacity)
 
@@ -123,9 +102,6 @@ class SwarmController:
     def memory_for(self, uav: int) -> ReplayMemory:
         return self.memories[uav if self.spec.mode == LOCAL else 0]
 
-    def record(self, uav: int, experience: Experience) -> None:
-        self.memory_for(uav).append(experience)
-
 
 def select_action(
     qvalues: np.ndarray, epsilon: float, rng: np.random.Generator
@@ -169,35 +145,33 @@ def train_from_memory(
 
 
 def step_swarm(
-    grid: GridMap,
     state: SwarmState,
     controller: SwarmController,
     epsilon: float,
-    step_budget: int,
     rng: np.random.Generator,
 ) -> tuple[SwarmState, list[Experience], bool]:
-    """Advance the swarm one time step: each UAV in index order encodes
-    its observation, picks an action, moves, records the experience, and
-    trains from its memory. Stops mid-step once coverage is complete or
-    the budget runs out; UAVs after the finishing move do not act.
+    """Advance the swarm one time step on the spec's map: each UAV in index
+    order encodes its observation, picks an action, moves, records the
+    experience, and trains from its memory. Stops mid-step once coverage
+    is complete or the spec's episode budget runs out; UAVs after the
+    finishing move do not act.
     """
+    spec = controller.spec
+    grid, budget = spec.grid, spec.episode_budget
     experiences: list[Experience] = []
     done = False
     for uav in range(state.n_uavs):
+        network, memory = controller.network_for(uav), controller.memory_for(uav)
         observation = encode_observation(grid, state)
-        qvalues = forward(controller.network_for(uav), observation)
+        qvalues = forward(network, observation)
         action = select_action(qvalues, epsilon, rng)
-        state, outcome = transition(
-            grid, state, uav, action, controller.spec.allow_shared_cells
-        )
+        state, outcome = transition(grid, state, uav, action, spec.allow_shared_cells)
         next_observation = encode_observation(grid, state)
-        done = is_coverage_complete(grid, state) or state.global_step >= step_budget
+        done = is_coverage_complete(grid, state) or state.global_step >= budget
         experience = Experience(observation, action, outcome.reward, next_observation, done)
         experiences.append(experience)
-        controller.record(uav, experience)
-        train_from_memory(
-            controller.memory_for(uav), controller.network_for(uav), controller.spec, rng
-        )
+        memory.append(experience)
+        train_from_memory(memory, network, spec, rng)
         if done:
             break
     return state, experiences, done

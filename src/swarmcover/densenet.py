@@ -18,11 +18,6 @@ import numpy as np
 HIDDEN_UNITS = 1013
 N_ACTIONS = 4
 
-# Largest SGD step that stays comfortably inside the stable region for
-# reward-scale (~10^2) targets on these bounded 0/1 inputs: 5e-4 already
-# diverges after an episode of training, so keep a 2.5x margin.
-DEFAULT_LEARNING_RATE = 0.0002
-
 
 class ShapeError(ValueError):
     """Input vector length does not match the network."""
@@ -42,7 +37,7 @@ class DenseLayer:
 class QNetwork:
     layer1: DenseLayer
     layer2: DenseLayer
-    learning_rate: float = DEFAULT_LEARNING_RATE
+    learning_rate: float
 
     @property
     def input_size(self) -> int:
@@ -57,10 +52,7 @@ def _init_layer(in_dim: int, out_dim: int, rng: np.random.Generator) -> DenseLay
 
 
 def init_network(
-    rows: int,
-    cols: int,
-    rng: np.random.Generator,
-    learning_rate: float = DEFAULT_LEARNING_RATE,
+    rows: int, cols: int, rng: np.random.Generator, learning_rate: float
 ) -> QNetwork:
     """Build the network for a rows x cols map (input 3 * rows * cols).
 

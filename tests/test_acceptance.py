@@ -14,7 +14,6 @@ import pytest
 from swarmcover.agent import (
     GLOBAL,
     LOCAL,
-    EpsilonSchedule,
     ReplayMemory,
     bellman_target,
 )
@@ -91,9 +90,9 @@ def test_bellman_target(capsys):
     report(capsys, "bellman-target", all(checks))
 
 
-def test_epsilon_schedule(capsys):
-    sched = EpsilonSchedule()
-    values = [sched.value(n) for n in range(41)]
+def test_epsilon_schedule(capsys, grove):
+    spec = ExperimentSpec(map_id="grove_5x5", grid=grove, n_uavs=1, mode=LOCAL)
+    values = [spec.epsilon_at(n) for n in range(41)]
     exact = all(
         abs(v - max(0.05, 0.49 * 0.93**n)) <= 1e-12 for n, v in enumerate(values)
     )

@@ -6,7 +6,6 @@ import pytest
 from swarmcover.agent import (
     GLOBAL,
     LOCAL,
-    EpsilonSchedule,
     Experience,
     ReplayMemory,
     SwarmController,
@@ -49,15 +48,15 @@ def zeroed_controller(grid, n_uavs, mode, seed=0, **config_kwargs):
 
 
 def test_epsilon_schedule_exact_values():
-    sched = EpsilonSchedule()
+    spec = make_spec(parse_map("..\n.."))
     for n in range(41):
-        assert sched.value(n) == max(0.05, 0.49 * 0.93**n)
-    assert sched.value(0) == 0.49
+        assert spec.epsilon_at(n) == max(0.05, 0.49 * 0.93**n)
+    assert spec.epsilon_at(0) == 0.49
 
 
 def test_epsilon_schedule_monotone_and_floored():
-    sched = EpsilonSchedule()
-    values = [sched.value(n) for n in range(60)]
+    spec = make_spec(parse_map("..\n.."))
+    values = [spec.epsilon_at(n) for n in range(60)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     # 0.49 * 0.93^n first drops below 0.05 at n = 32 and clamps there
     assert values[31] > 0.05
@@ -66,7 +65,7 @@ def test_epsilon_schedule_monotone_and_floored():
 
 def test_epsilon_schedule_rejects_negative_episode():
     with pytest.raises(ValueError):
-        EpsilonSchedule().value(-1)
+        make_spec(parse_map("..\n..")).epsilon_at(-1)
 
 
 # --- replay memory -------------------------------------------------------------
@@ -112,11 +111,6 @@ def test_memory_sample_clamps_and_is_unique():
 def test_memory_empty_sample_raises():
     with pytest.raises(ValueError):
         ReplayMemory(60).sample(4, np.random.default_rng(0))
-
-
-def test_memory_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        ReplayMemory(0)
 
 
 # --- action selection -----------------------------------------------------------
@@ -180,7 +174,7 @@ def test_local_mode_private_models():
     assert len(controller.memories) == 3
     for uav in range(3):
         for _ in range(3):
-            controller.record(uav, make_experience(n=9))
+            controller.memory_for(uav).append(make_experience(n=9))
     assert [len(m) for m in controller.memories] == [3, 3, 3]
 
 
@@ -191,7 +185,7 @@ def test_global_mode_shared_model_interleaves():
     assert controller.network_for(0) is controller.network_for(1)
     for step in range(4):
         for uav in range(2):
-            controller.record(uav, make_experience(marker=uav, n=9))
+            controller.memory_for(uav).append(make_experience(marker=uav, n=9))
     assert [e.reward for e in controller.memories[0]] == [0, 1, 0, 1, 0, 1, 0, 1]
 
 
@@ -199,7 +193,7 @@ def test_record_respects_capacity():
     grid = parse_map("...\n...\n...")
     controller, _ = zeroed_controller(grid, 1, LOCAL, memory_size=60)
     for i in range(61):
-        controller.record(0, make_experience(marker=i, n=9))
+        controller.memory_for(0).append(make_experience(marker=i, n=9))
     assert len(controller.memory_for(0)) == 60
     assert next(iter(controller.memory_for(0))).reward == 1.0
 
@@ -271,7 +265,7 @@ def test_step_swarm_one_experience_per_uav():
     grid = load_bundled_map("grove_5x5")
     controller, rng = zeroed_controller(grid, 1, LOCAL)
     state = initial_swarm_state(grid, 1)
-    state, experiences, done = step_swarm(grid, state, controller, 0.0, 2100, rng)
+    state, experiences, done = step_swarm(state, controller, 0.0, rng)
     assert len(experiences) == 1
     assert not done
     assert state.global_step == 1
@@ -281,7 +275,7 @@ def test_step_swarm_three_uavs_in_order():
     grid = parse_map("....\n....\n....\n....")
     controller, rng = zeroed_controller(grid, 3, LOCAL)
     state = initial_swarm_state(grid, 3)
-    state, experiences, done = step_swarm(grid, state, controller, 0.0, 1600, rng)
+    state, experiences, done = step_swarm(state, controller, 0.0, rng)
     assert len(experiences) == 3
     assert state.per_uav_actions == (1, 1, 1)
     assert not done
@@ -294,7 +288,7 @@ def test_step_swarm_stops_after_completing_move():
     grid = parse_map("..#\n123")
     controller, rng = zeroed_controller(grid, 3, LOCAL)
     state = initial_swarm_state(grid, 3)
-    state, experiences, done = step_swarm(grid, state, controller, 0.0, 100, rng)
+    state, experiences, done = step_swarm(state, controller, 0.0, rng)
     assert done
     assert len(experiences) == 2
     assert experiences[-1].terminal
@@ -303,9 +297,9 @@ def test_step_swarm_stops_after_completing_move():
 
 def test_step_swarm_budget_exhaustion_is_terminal():
     grid = load_bundled_map("grove_5x5")
-    controller, rng = zeroed_controller(grid, 2, LOCAL)
+    controller, rng = zeroed_controller(grid, 2, LOCAL, step_budget=1)
     state = initial_swarm_state(grid, 2)
-    state, experiences, done = step_swarm(grid, state, controller, 0.0, 1, rng)
+    state, experiences, done = step_swarm(state, controller, 0.0, rng)
     assert done
     assert len(experiences) == 1
     assert experiences[0].terminal
@@ -321,7 +315,7 @@ def test_step_swarm_local_isolation():
     # Drive only UAV 0's pipeline: record into its memory and train its net.
     obs = np.zeros(48)
     for i in range(20):
-        controller.record(0, Experience(obs, Action.EAST, 1.0 + i, obs, False))
+        controller.memory_for(0).append(Experience(obs, Action.EAST, 1.0 + i, obs, False))
     train_from_memory(
         controller.memory_for(0), controller.network_for(0), controller.spec, rng
     )
@@ -338,9 +332,7 @@ def test_step_swarm_local_global_parity_single_uav():
         state = initial_swarm_state(grid, 1)
         actions = []
         for _ in range(25):
-            state, experiences, done = step_swarm(
-                grid, state, controller, 0.3, 2100, rng
-            )
+            state, experiences, done = step_swarm(state, controller, 0.3, rng)
             actions.extend(int(e.action) for e in experiences)
             if done:
                 break
@@ -355,7 +347,7 @@ def test_experience_terminal_flags_match_outcomes():
     state = initial_swarm_state(grid, 1)
     seen_terminal = False
     for _ in range(400):
-        state, experiences, done = step_swarm(grid, state, controller, 1.0, 400, rng)
+        state, experiences, done = step_swarm(state, controller, 1.0, rng)
         for exp in experiences[:-1]:
             assert not exp.terminal
         if done:
@@ -373,7 +365,7 @@ def test_forward_consistency_through_controller():
     controller = SwarmController(make_spec(grid, 1, GLOBAL), rng)
     obs = np.zeros(12)
     before = forward(controller.network_for(0), obs).copy()
-    controller.record(0, Experience(obs, Action.NORTH, 50.0, obs, True))
+    controller.memory_for(0).append(Experience(obs, Action.NORTH, 50.0, obs, True))
     train_from_memory(
         controller.memory_for(0), controller.network_for(0), controller.spec, rng
     )

@@ -190,6 +190,13 @@ def test_missing_map_names_path(tmp_path, capsys):
     assert "/no/such/map.txt" in capsys.readouterr().err
 
 
+def test_negative_seed_rejected(tmp_path, capsys):
+    map_path = write(tmp_path, "tiny.txt", TINY_MAP)
+    config = write(tmp_path, "bad.ini", f"[run]\nmaps = {map_path}\nseeds = 1, -1\n")
+    assert main(["run", config]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_missing_maps_key(tmp_path, capsys):
     config = write(tmp_path, "bad.ini", "[run]\nseeds = 1\n")
     assert main(["run", config]) == 1
@@ -222,10 +229,17 @@ def test_help_prints_defaults(argv, capsys):
 def test_readme_reference_lists_every_config_key():
     text = README.read_text(encoding="utf-8")
     reference = text[text.index("## CLI reference") :]
+    fields = {(f.metadata["section"], cli._key(f)): f for f in cli._FIELDS}
     documented = {}
-    for section, keys in re.findall(r"^\| (run|training) \| ([^|]+) \|", reference, re.M):
-        for key in keys.split("/"):
-            documented.setdefault(section, set()).add(key.strip())
+    row = r"^\| (run|training) \| ([^|]+) \|[^|]+\| ([^|]+) \|$"
+    for section, keys, defaults in re.findall(row, reference, re.M):
+        keys = [key.strip() for key in keys.split("/")]
+        documented.setdefault(section, set()).update(keys)
+        if defaults in ("required", "100 × free cells"):
+            continue  # no literal default to compare
+        for key, default in zip(keys, defaults.split("/"), strict=True):
+            expected = cli._default_text(fields[section, key])
+            assert f" (default: {default.strip()})" == expected, key
     assert documented == _KNOWN_KEYS
 
 

@@ -41,27 +41,27 @@ def random_small_network(rng, in_dim=6, hidden=5, learning_rate=1.0):
 
 
 def test_init_shapes_for_5x5_map():
-    net = init_network(5, 5, np.random.default_rng(0))
+    net = init_network(5, 5, np.random.default_rng(0), 0.0002)
     assert net.layer1.weights.shape == (1013, 75)
     assert net.layer2.weights.shape == (4, 1013)
     assert net.input_size == 75
 
 
 def test_init_same_seed_identical():
-    a = init_network(5, 5, np.random.default_rng(42))
-    b = init_network(5, 5, np.random.default_rng(42))
+    a = init_network(5, 5, np.random.default_rng(42), 0.0002)
+    b = init_network(5, 5, np.random.default_rng(42), 0.0002)
     assert np.array_equal(a.layer1.weights, b.layer1.weights)
     assert np.array_equal(a.layer2.weights, b.layer2.weights)
 
 
 def test_init_different_seeds_differ():
-    a = init_network(5, 5, np.random.default_rng(1))
-    b = init_network(5, 5, np.random.default_rng(2))
+    a = init_network(5, 5, np.random.default_rng(1), 0.0002)
+    b = init_network(5, 5, np.random.default_rng(2), 0.0002)
     assert not np.array_equal(a.layer1.weights, b.layer1.weights)
 
 
 def test_init_scale_and_zero_biases():
-    net = init_network(3, 4, np.random.default_rng(7))
+    net = init_network(3, 4, np.random.default_rng(7), 0.0002)
     in_dim = 3 * 3 * 4
     assert np.abs(net.layer1.weights).max() <= (1.0 / in_dim) ** 0.5
     assert np.abs(net.layer2.weights).max() <= (1.0 / HIDDEN_UNITS) ** 0.5
@@ -71,7 +71,7 @@ def test_init_scale_and_zero_biases():
 
 def test_init_rejects_degenerate_maps():
     with pytest.raises(ValueError):
-        init_network(1, 5, np.random.default_rng(0))
+        init_network(1, 5, np.random.default_rng(0), 0.0002)
 
 
 # --- forward -----------------------------------------------------------------
@@ -81,6 +81,7 @@ def test_forward_zero_network_is_zero():
     net = QNetwork(
         layer1=DenseLayer(np.zeros((3, 4)), np.zeros(3)),
         layer2=DenseLayer(np.zeros((4, 3)), np.zeros(4)),
+        learning_rate=0.1,
     )
     assert forward(net, np.ones(4)).tolist() == [0, 0, 0, 0]
 

@@ -19,7 +19,6 @@ from swarmcover.experiment import (
     run_experiment,
     run_seed,
     run_sweep,
-    step_budget_from_flight_time,
     trace_entries,
     write_results_csv,
 )
@@ -77,7 +76,18 @@ def test_spec_rejects_bad_mode_and_hyperparameters():
     with pytest.raises(ConfigError):
         tiny_spec(seeds=())
     with pytest.raises(ConfigError):
+        tiny_spec(seeds=(1, -1))
+    with pytest.raises(ConfigError):
         tiny_spec(max_episodes=0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            tiny_spec(learning_rate=value)
+    with pytest.raises(ConfigError):
+        tiny_spec(memory_size=0)
+    with pytest.raises(ConfigError):
+        tiny_spec(epsilon_min=0.0)
+    with pytest.raises(ConfigError):
+        tiny_spec(step_budget=-1)
 
 
 # --- step budget ---------------------------------------------------------------
@@ -85,14 +95,14 @@ def test_spec_rejects_bad_mode_and_hyperparameters():
 
 def test_step_budget_default_is_100_per_free_cell():
     grove = load_bundled_map("grove_5x5")
-    assert step_budget_from_flight_time(grove) == 2100
+    assert tiny_spec(grid=grove).episode_budget == 2100
     all_free_9 = parse_map("\n".join(["." * 9] * 9))
-    assert step_budget_from_flight_time(all_free_9) == 8100
+    assert tiny_spec(grid=all_free_9).episode_budget == 8100
 
 
 def test_step_budget_override_wins():
     grove = load_bundled_map("grove_5x5")
-    assert step_budget_from_flight_time(grove, override=50) == 50
+    assert tiny_spec(grid=grove, step_budget=50).episode_budget == 50
 
 
 # --- run_episode -----------------------------------------------------------------
@@ -101,24 +111,24 @@ def test_step_budget_override_wins():
 def test_episode_covers_tiny_map_within_budget():
     for seed in range(1, 6):
         rng = np.random.default_rng(seed)
-        controller = SwarmController(tiny_spec(), rng)
-        record = run_episode(TINY, controller, 0, 0.49, 100, rng)
+        controller = SwarmController(tiny_spec(step_budget=100), rng)
+        record = run_episode(controller, 0, rng)
         assert record.covered
         assert record.total_actions <= 100
 
 
 def test_episode_zero_budget():
     rng = np.random.default_rng(1)
-    controller = SwarmController(tiny_spec(), rng)
-    record = run_episode(TINY, controller, 0, 0.49, 0, rng)
+    controller = SwarmController(tiny_spec(step_budget=0), rng)
+    record = run_episode(controller, 0, rng)
     assert not record.covered
     assert record.total_actions == 0
 
 
 def test_episode_starts_already_covering():
     rng = np.random.default_rng(1)
-    controller = SwarmController(tiny_spec(n_uavs=4), rng)
-    record = run_episode(TINY, controller, 0, 0.49, 100, rng)
+    controller = SwarmController(tiny_spec(n_uavs=4, step_budget=100), rng)
+    record = run_episode(controller, 0, rng)
     assert record.covered
     assert record.total_actions == 0
     assert record.per_uav_actions == (0, 0, 0, 0)
@@ -127,9 +137,10 @@ def test_episode_starts_already_covering():
 def test_episode_total_is_sum_of_per_uav_counts():
     grid = parse_map("...\n...\n...")
     rng = np.random.default_rng(9)
-    controller = SwarmController(tiny_spec(grid=grid, n_uavs=2), rng)
+    spec = tiny_spec(grid=grid, n_uavs=2, epsilon=0.5, step_budget=200)
+    controller = SwarmController(spec, rng)
     for episode in range(3):
-        record = run_episode(grid, controller, episode, 0.5, 200, rng)
+        record = run_episode(controller, episode, rng)
         assert record.total_actions == sum(record.per_uav_actions)
 
 

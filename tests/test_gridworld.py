@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from swarmcover.gridworld import (
     BLOCKED_REWARD,
@@ -12,6 +14,7 @@ from swarmcover.gridworld import (
     DisconnectedMapError,
     EmptyMapError,
     FormatError,
+    MapError,
     MoveKind,
     encode_observation,
     initial_swarm_state,
@@ -184,6 +187,47 @@ def test_transition_conservation_random_walk():
         assert grew == (1 if outcome.kind is MoveKind.NEW_CELL else 0)
         if outcome.kind is MoveKind.BLOCKED:
             assert outcome.new_position == state.positions[uav]
+
+
+@st.composite
+def walks(draw):
+    """A 2-5 x 2-5 map with random obstacles, a swarm on it, and a list of
+    up to 60 (uav, action) moves."""
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    lines = [draw(st.text(st.sampled_from("...#"), min_size=cols, max_size=cols))
+             for _ in range(rows)]
+    try:
+        grid = parse_map("\n".join(lines))
+    except MapError:
+        assume(False)
+    n_uavs = draw(st.integers(1, min(3, grid.free_count)))
+    moves = st.tuples(st.integers(0, n_uavs - 1), st.sampled_from(Action))
+    return grid, n_uavs, draw(st.booleans()), draw(st.lists(moves, max_size=60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(walks())
+def test_transition_invariants_on_generated_maps(walk):
+    grid, n_uavs, shared, moves = walk
+    state = initial_swarm_state(grid, n_uavs)
+    for made, (uav, action) in enumerate(moves, start=1):
+        before = state
+        unvisited = unvisited_free_count(grid, before)
+        state, outcome = transition(grid, before, uav, action, shared)
+        assert state.global_step == sum(state.per_uav_actions) == made
+        assert not (before.visited & ~state.visited).any()
+        grew = int(np.count_nonzero(state.visited)) - int(np.count_nonzero(before.visited))
+        assert grew == (1 if outcome.kind is MoveKind.NEW_CELL else 0)
+        assert all(grid.is_free(*pos) for pos in state.positions)
+        if not shared:
+            assert len(set(state.positions)) == n_uavs
+        if outcome.kind is MoveKind.NEW_CELL:
+            assert outcome.reward == new_cell_reward(grid.rows, grid.cols, unvisited)
+        else:
+            assert outcome.reward == {
+                MoveKind.BLOCKED: BLOCKED_REWARD,
+                MoveKind.VISITED_CELL: VISITED_CELL_REWARD,
+            }[outcome.kind]
 
 
 def test_reward_ordering():
