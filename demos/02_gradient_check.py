@@ -13,7 +13,7 @@ import numpy as np
 from swarmcover import forward, init_network, train_step
 
 rng = np.random.default_rng(0)
-net = init_network(rows=2, cols=2, rng=rng, learning_rate=1.0)
+net = init_network(12, rng)  # the input size of a 2x2 map
 
 observation = rng.normal(0.0, 1.0, 3 * 2 * 2)
 action = 2
@@ -29,9 +29,9 @@ before = {
     "W2": net.layer2.weights.copy(),
     "b2": net.layer2.biases.copy(),
 }
-_, loss = train_step(net, observation, action, target)  # overshoots wildly:
-# learning rate 1.0 is useless for training, but here only the parameter
-# delta matters.
+# Learning rate 1.0 overshoots wildly and is useless for training, but
+# here only the parameter delta matters.
+loss = train_step(net, observation, action, target, learning_rate=1.0)
 analytic = {
     "W1": before["W1"] - net.layer1.weights,
     "b1": before["b1"] - net.layer1.biases,

@@ -26,6 +26,7 @@ from .gridworld import (
     Action,
     SwarmState,
     encode_observation,
+    initial_swarm_state,
     is_coverage_complete,
     transition,
 )
@@ -57,7 +58,6 @@ class ReplayMemory:
     """Bounded FIFO buffer of experiences (oldest evicted first)."""
 
     def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
         self._buffer: deque[Experience] = deque(maxlen=capacity)
 
     def __len__(self) -> int:
@@ -88,12 +88,10 @@ class SwarmController:
 
     def __init__(self, spec: ExperimentSpec, rng: np.random.Generator) -> None:
         self.spec = spec
-        grid = spec.grid
         n_models = spec.n_uavs if spec.mode == LOCAL else 1
-        self.networks = [
-            init_network(grid.rows, grid.cols, rng, spec.learning_rate)
-            for _ in range(n_models)
-        ]
+        start = initial_swarm_state(spec.grid, spec.n_uavs)
+        input_size = encode_observation(spec.grid, start).size
+        self.networks = [init_network(input_size, rng) for _ in range(n_models)]
         self.memories = [ReplayMemory(spec.memory_size) for _ in range(n_models)]
 
     def network_for(self, uav: int) -> QNetwork:
@@ -139,8 +137,9 @@ def train_from_memory(
     for exp in batch:
         next_qvalues = forward(net, exp.next_observation)
         target = bellman_target(exp.reward, spec.gamma, next_qvalues, exp.terminal)
-        _, loss = train_step(net, exp.observation, int(exp.action), target)
-        total_loss += loss
+        total_loss += train_step(
+            net, exp.observation, int(exp.action), target, spec.learning_rate
+        )
     return total_loss / len(batch)
 
 

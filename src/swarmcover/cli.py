@@ -10,9 +10,9 @@ Three subcommands, all thin wrappers over the library:
 * ``maps``            -- list the bundled maps.
 
 Exit codes: 0 success, 1 configuration error (bad flags, bad config
-file, missing or invalid map), 2 runtime error (no matching trace, a
-trace that does not replay to its recorded result, output files
-unwritable).
+file, missing or invalid map), 2 runtime error (a missing or malformed
+trace sidecar, no matching trace, a trace that does not replay to its
+recorded result, output files unwritable).
 """
 
 from __future__ import annotations
@@ -404,9 +404,7 @@ def _render_entry(entry: dict) -> str:
             raise RuntimeFailure(
                 f"trace covers the map after {made} of its {len(moves)} moves"
             )
-        state, _ = transition(
-            grid, state, uav, action, entry.get("allow_shared_cells", False)
-        )
+        state, _ = transition(grid, state, uav, action, entry["allow_shared_cells"])
     if not is_coverage_complete(grid, state):
         raise RuntimeFailure("trace does not cover the map when replayed")
     position_digit = {}
@@ -433,36 +431,43 @@ def cmd_render(args) -> int:
     try:
         with open(trace_path, encoding="utf-8") as handle:
             entries = json.load(handle)["traces"]
+        matches = [
+            entry
+            for entry in entries
+            if entry["map_id"] == args.map
+            and entry["seed"] == args.seed
+            and (args.uavs is None or entry["n_uavs"] == args.uavs)
+            and (args.mode is None or entry["mode"] == args.mode)
+        ]
+        if not matches:
+            raise RuntimeFailure(
+                f"no logged best episode matches map={args.map} seed={args.seed}"
+            )
+        entry = matches[0]
+        header = (
+            f"{entry['map_id']}  seed {entry['seed']}  {entry['n_uavs']} uav "
+            f"{entry['mode']}  best episode {entry['best_episode']}: "
+            f"{entry['total_actions']} actions"
+        )
+        picture = _render_entry(entry)
     except OSError as exc:
         raise RuntimeFailure(
             f"no trace sidecar at {trace_path} (was the run made with log_traces?): {exc}"
         ) from exc
-
-    matches = [
-        entry
-        for entry in entries
-        if entry["map_id"] == args.map
-        and entry["seed"] == args.seed
-        and (args.uavs is None or entry["n_uavs"] == args.uavs)
-        and (args.mode is None or entry["mode"] == args.mode)
-    ]
-    if not matches:
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        # A truncated or hand-edited sidecar. MapError is a ValueError, so a
+        # bad map text is a runtime error here, not a configuration error.
         raise RuntimeFailure(
-            f"no logged best episode matches map={args.map} seed={args.seed}"
-        )
-    entry = matches[0]
+            f"malformed trace sidecar {trace_path}: {type(exc).__name__}: {exc}"
+        ) from exc
     if len(matches) > 1:
         print(
             f"note: {len(matches)} runs match; rendering "
             f"{entry['n_uavs']} uav {entry['mode']} (narrow with --uavs/--mode)",
             file=sys.stderr,
         )
-    print(
-        f"{entry['map_id']}  seed {entry['seed']}  {entry['n_uavs']} uav "
-        f"{entry['mode']}  best episode {entry['best_episode']}: "
-        f"{entry['total_actions']} actions"
-    )
-    print(_render_entry(entry))
+    print(header)
+    print(picture)
     return 0
 
 

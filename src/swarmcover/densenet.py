@@ -37,11 +37,6 @@ class DenseLayer:
 class QNetwork:
     layer1: DenseLayer
     layer2: DenseLayer
-    learning_rate: float
-
-    @property
-    def input_size(self) -> int:
-        return self.layer1.weights.shape[1]
 
 
 def _init_layer(in_dim: int, out_dim: int, rng: np.random.Generator) -> DenseLayer:
@@ -51,57 +46,56 @@ def _init_layer(in_dim: int, out_dim: int, rng: np.random.Generator) -> DenseLay
     return DenseLayer(weights=weights, biases=np.zeros(out_dim))
 
 
-def init_network(
-    rows: int, cols: int, rng: np.random.Generator, learning_rate: float
-) -> QNetwork:
-    """Build the network for a rows x cols map (input 3 * rows * cols).
+def init_network(input_size: int, rng: np.random.Generator) -> QNetwork:
+    """Build the network for observations of ``input_size`` values.
 
     The same seed always produces the same parameters.
     """
-    if rows < 2 or cols < 2:
-        raise ValueError("maps are at least 2x2")
-    input_size = 3 * rows * cols
     return QNetwork(
         layer1=_init_layer(input_size, HIDDEN_UNITS, rng),
         layer2=_init_layer(HIDDEN_UNITS, N_ACTIONS, rng),
-        learning_rate=learning_rate,
     )
+
+
+def _layer1(net: QNetwork, observation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The observation as a float vector, checked against the network's
+    input size, and its layer-1 pre-activation ``W1 @ x + b1``."""
+    observation = np.asarray(observation, dtype=float)
+    weights, biases = net.layer1.weights, net.layer1.biases
+    if observation.shape != weights.shape[1:]:
+        raise ShapeError(
+            f"observation has shape {observation.shape}, expected {weights.shape[1:]}"
+        )
+    return observation, weights @ observation + biases
 
 
 def forward(net: QNetwork, observation: np.ndarray) -> np.ndarray:
     """Q-values for all actions: layer2(relu(layer1(observation)))."""
-    observation = np.asarray(observation, dtype=float)
-    if observation.shape != (net.input_size,):
-        raise ShapeError(
-            f"observation has shape {observation.shape}, expected ({net.input_size},)"
-        )
-    hidden = np.maximum(net.layer1.weights @ observation + net.layer1.biases, 0.0)
-    return net.layer2.weights @ hidden + net.layer2.biases
+    _, z1 = _layer1(net, observation)
+    return net.layer2.weights @ np.maximum(z1, 0.0) + net.layer2.biases
 
 
 def train_step(
-    net: QNetwork, observation: np.ndarray, action: int, target: float
-) -> tuple[QNetwork, float]:
+    net: QNetwork,
+    observation: np.ndarray,
+    action: int,
+    target: float,
+    learning_rate: float,
+) -> float:
     """One SGD step on the squared error of the taken action's Q-value.
 
-    Only that output's error drives the update, so layer-2 rows for the
-    other actions never move. Parameters are updated in place; the loss
+    Only that output's error drives the update, so the layer-2 weights of
+    the other actions never move. Parameters are updated in place; the loss
     at the post-update parameters is returned for logging.
     """
-    observation = np.asarray(observation, dtype=float)
-    if observation.shape != (net.input_size,):
-        raise ShapeError(
-            f"observation has shape {observation.shape}, expected ({net.input_size},)"
-        )
-    action = int(action)
-
     w1, b1 = net.layer1.weights, net.layer1.biases
     w2, b2 = net.layer2.weights, net.layer2.biases
 
     # Overflow here shows up as non-finite gradients, reported below as
     # NumericalError rather than as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        z1 = w1 @ observation + b1
+        observation, z1 = _layer1(net, observation)
+        action = int(action)
         hidden = np.maximum(z1, 0.0)
         q_action = w2[action] @ hidden + b2[action]
 
@@ -115,7 +109,7 @@ def train_step(
         if not np.isfinite(grad_z1).all():
             raise NumericalError("non-finite gradient in train_step")
 
-        lr = net.learning_rate
+        lr = learning_rate
         w2[action] -= lr * grad_q * hidden
         b2[action] -= lr * grad_q
         # dW1 = outer(lr * grad_z1, x), applied only to the columns where x
@@ -139,5 +133,5 @@ def train_step(
         z1_after = z1 - (lr * (observation @ observation + 1.0)) * grad_z1
         q_after = w2[action] @ np.maximum(z1_after, 0.0) + b2[action]
         residual = q_after - target
-    return net, float(residual * residual)
+    return float(residual * residual)
 

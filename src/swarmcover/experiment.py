@@ -287,16 +287,18 @@ def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
 def run_sweep(
     specs: list[ExperimentSpec], parallelism: int = 1
 ) -> list[list[RunResult]]:
-    """Run several experiments, optionally across worker processes.
+    """Run several experiments, optionally across worker processes, at
+    most one per spec.
 
     Results come back in the order of ``specs`` regardless of which
     worker finished first, so output files are reproducible.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
-    if parallelism == 1 or len(specs) <= 1:
+    workers = min(parallelism, len(specs))
+    if workers <= 1:
         return [run_experiment(spec) for spec in specs]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_experiment, specs))
 
 
@@ -325,15 +327,13 @@ def aggregate(results: list[RunResult]) -> AggregateStats:
 # CSV layout: the fixed header, then per run its episode rows in order
 # followed by one summary row. Episode rows leave best_total_actions
 # empty; the summary row (episode column = "summary") carries it, along
-# with whether any episode covered. Counts are written plain; any real
-# number is written with 2 decimals; booleans as true/false.
+# with whether any episode covered. Counts are written plain, booleans
+# as true/false.
 
 
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.2f}"
     return str(value)
 
 
@@ -366,12 +366,11 @@ def write_results_csv(handle, rows: list[list[str]]) -> None:
 def trace_entries(spec: ExperimentSpec, results: list[RunResult]) -> list[dict]:
     """Replayable records of each run's best episode, for rendering.
 
-    Only runs with a covering episode appear. Each entry is
+    Only runs with a covering episode whose moves were logged appear
+    (none without ``log_traces``). Each entry is
     self-contained: it embeds the map text so a renderer needs nothing
     but the sidecar file.
     """
-    if not spec.log_traces:
-        return []
     entries = []
     for result in results:
         best = result.best_episode

@@ -38,19 +38,7 @@ START_CHARS = "123456789"
 
 
 class MapError(ValueError):
-    """Base class for map file problems."""
-
-
-class FormatError(MapError):
-    """Ragged lines, unknown characters or ill-formed start markers."""
-
-
-class EmptyMapError(MapError):
-    """The map contains no free cell."""
-
-
-class DisconnectedMapError(MapError):
-    """The free cells do not form a single 4-connected region."""
+    """A map text that ``parse_map`` rejects."""
 
 
 class Action(IntEnum):
@@ -79,11 +67,10 @@ class MoveKind(Enum):
 
 @dataclass(frozen=True)
 class MoveOutcome:
-    """What a single UAV move did: cell kind, reward earned, final position."""
+    """What a single UAV move did: cell kind and reward earned."""
 
     kind: MoveKind
     reward: float
-    new_position: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -152,20 +139,20 @@ class SwarmState:
 def parse_map(text: str) -> GridMap:
     """Parse map-file text into a validated GridMap.
 
-    Raises FormatError for ragged lines, unknown characters, or start
-    digits that repeat or skip numbers; EmptyMapError when no cell is
-    free; DisconnectedMapError when the free cells are not 4-connected.
+    Raises MapError for ragged lines, unknown characters, start digits
+    that repeat or skip numbers, a map smaller than 2x2, no free cell, or
+    free cells that are not 4-connected.
     """
     lines = text.splitlines()
     if not lines or not any(lines):
-        raise FormatError("map text is empty")
+        raise MapError("map text is empty")
     cols = len(lines[0])
     rows = len(lines)
     obstacles = np.zeros((rows, cols), dtype=bool)
     starts_by_digit: dict[int, tuple[int, int]] = {}
     for r, line in enumerate(lines):
         if len(line) != cols:
-            raise FormatError(
+            raise MapError(
                 f"line {r + 1} has {len(line)} characters, expected {cols}"
             )
         for c, ch in enumerate(line):
@@ -176,16 +163,16 @@ def parse_map(text: str) -> GridMap:
             elif ch in START_CHARS:
                 digit = int(ch)
                 if digit in starts_by_digit:
-                    raise FormatError(f"start marker {ch} appears more than once")
+                    raise MapError(f"start marker {ch} appears more than once")
                 starts_by_digit[digit] = (r, c)
             else:
-                raise FormatError(f"unknown character {ch!r} at line {r + 1}")
+                raise MapError(f"unknown character {ch!r} at line {r + 1}")
     if rows < 2 or cols < 2:
-        raise FormatError(f"map must be at least 2x2, got {rows}x{cols}")
+        raise MapError(f"map must be at least 2x2, got {rows}x{cols}")
     if sorted(starts_by_digit) != list(range(1, len(starts_by_digit) + 1)):
-        raise FormatError("start markers must be numbered 1..k without gaps")
+        raise MapError("start markers must be numbered 1..k without gaps")
     if not (~obstacles).any():
-        raise EmptyMapError("map has no free cell")
+        raise MapError("map has no free cell")
     _check_connected(obstacles)
     starts = tuple(starts_by_digit[d] for d in sorted(starts_by_digit))
     obstacles.setflags(write=False)
@@ -208,9 +195,7 @@ def _check_connected(obstacles: np.ndarray) -> None:
                 seen[nr, nc] = True
                 queue.append((nr, nc))
     if seen.sum() != free.sum():
-        raise DisconnectedMapError(
-            "free cells form more than one 4-connected region"
-        )
+        raise MapError("free cells form more than one 4-connected region")
 
 
 def start_positions(grid: GridMap, n_uavs: int) -> tuple[tuple[int, int], ...]:
@@ -315,7 +300,7 @@ def transition(
         per_uav_actions=per_uav,
         global_step=state.global_step + 1,
     )
-    return new_state, MoveOutcome(kind=kind, reward=reward, new_position=new_position)
+    return new_state, MoveOutcome(kind=kind, reward=reward)
 
 
 def encode_observation(grid: GridMap, state: SwarmState) -> np.ndarray:

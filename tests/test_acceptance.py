@@ -105,7 +105,7 @@ def test_gradient_oracle(capsys):
     worst = 0.0
     for trial in range(20):
         rng = np.random.default_rng(100 + trial)
-        net = random_small_network(rng, learning_rate=1.0)
+        net = random_small_network(rng)
         params = (
             net.layer1.weights.copy(),
             net.layer1.biases.copy(),
@@ -115,7 +115,7 @@ def test_gradient_oracle(capsys):
         x = rng.normal(0, 1, 6)
         action = int(rng.integers(4))
         target = float(rng.normal(0, 3))
-        train_step(net, x, action, target)
+        train_step(net, x, action, target, 1.0)
         analytic = [
             params[0] - net.layer1.weights,
             params[1] - net.layer1.biases,

@@ -218,8 +218,10 @@ def test_train_from_memory_single_experience():
 def test_train_from_memory_zero_learning_rate():
     grid = parse_map("..\n..")
     controller, rng = zeroed_controller(grid, 1, LOCAL, learning_rate=1e-12)
+    # The spec rejects a zero rate, so set it on the built spec: the pass
+    # must apply the spec's rate, and a rate of 0 moves nothing.
+    object.__setattr__(controller.spec, "learning_rate", 0.0)
     net = controller.networks[0]
-    net.learning_rate = 0.0
     memory = controller.memory_for(0)
     for i in range(10):
         memory.append(make_experience(marker=i))

@@ -314,6 +314,26 @@ def edit_total(entry):
     entry["total_actions"] += 1
 
 
+def drop_key(key):
+    def edit(entry):
+        del entry[key]
+
+    edit.__name__ = f"drop_{key}"
+    return edit
+
+
+def truncate_moves(entry):
+    entry["moves"] = [move[:1] for move in entry["moves"]]
+
+
+def move_absent_uav(entry):
+    entry["moves"][0][0] = entry["n_uavs"]
+
+
+def garble_map(entry):
+    entry["map"] = entry["map"].replace("#", "x")
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -321,6 +341,12 @@ def edit_total(entry):
         (edit_total, "moves but records"),
         (drop_last_move_and_recount, "does not cover"),
         (add_move_and_recount, "covers the map after"),
+        (drop_key("moves"), "KeyError: 'moves'"),
+        (drop_key("n_uavs"), "KeyError: 'n_uavs'"),
+        (drop_key("allow_shared_cells"), "KeyError: 'allow_shared_cells'"),
+        (truncate_moves, "not enough values to unpack"),
+        (move_absent_uav, "UAV index 1 out of range"),
+        (garble_map, "unknown character 'x'"),
     ],
 )
 def test_render_refuses_trace_that_does_not_replay(tmp_path, capsys, edit, message):
@@ -329,6 +355,16 @@ def test_render_refuses_trace_that_does_not_replay(tmp_path, capsys, edit, messa
     capsys.readouterr()
     assert main(["render", csv_path, "--map", map_path, "--seed", "1"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"traces": [', "{}", "[]", '{"traces": 5}'])
+def test_render_refuses_malformed_sidecar(tmp_path, capsys, text):
+    csv_path = str(tmp_path / "results.csv")
+    write(tmp_path, "results.csv.traces.json", text)
+    assert main(["render", csv_path, "--map", "grove_5x5", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed trace sidecar")
+    assert "results.csv.traces.json" in err
 
 
 # --- atomic output ----------------------------------------------------------------

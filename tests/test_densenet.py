@@ -17,7 +17,7 @@ from swarmcover.densenet import (
 )
 
 
-def toy_network(learning_rate=0.1):
+def toy_network():
     """2 inputs -> 1 ReLU hidden unit -> 4 linear outputs, hand-checkable."""
     return QNetwork(
         layer1=DenseLayer(np.array([[1.0, 2.0]]), np.array([0.5])),
@@ -25,15 +25,13 @@ def toy_network(learning_rate=0.1):
             np.array([[1.0], [-1.0], [2.0], [0.0]]),
             np.array([0.0, 1.0, 0.0, 3.0]),
         ),
-        learning_rate=learning_rate,
     )
 
 
-def random_small_network(rng, in_dim=6, hidden=5, learning_rate=1.0):
+def random_small_network(rng, in_dim=6, hidden=5):
     return QNetwork(
         layer1=DenseLayer(rng.normal(0, 0.6, (hidden, in_dim)), rng.normal(0, 0.3, hidden)),
         layer2=DenseLayer(rng.normal(0, 0.6, (4, hidden)), rng.normal(0, 0.3, 4)),
-        learning_rate=learning_rate,
     )
 
 
@@ -41,37 +39,31 @@ def random_small_network(rng, in_dim=6, hidden=5, learning_rate=1.0):
 
 
 def test_init_shapes_for_5x5_map():
-    net = init_network(5, 5, np.random.default_rng(0), 0.0002)
+    net = init_network(75, np.random.default_rng(0))
     assert net.layer1.weights.shape == (1013, 75)
     assert net.layer2.weights.shape == (4, 1013)
-    assert net.input_size == 75
 
 
 def test_init_same_seed_identical():
-    a = init_network(5, 5, np.random.default_rng(42), 0.0002)
-    b = init_network(5, 5, np.random.default_rng(42), 0.0002)
+    a = init_network(75, np.random.default_rng(42))
+    b = init_network(75, np.random.default_rng(42))
     assert np.array_equal(a.layer1.weights, b.layer1.weights)
     assert np.array_equal(a.layer2.weights, b.layer2.weights)
 
 
 def test_init_different_seeds_differ():
-    a = init_network(5, 5, np.random.default_rng(1), 0.0002)
-    b = init_network(5, 5, np.random.default_rng(2), 0.0002)
+    a = init_network(75, np.random.default_rng(1))
+    b = init_network(75, np.random.default_rng(2))
     assert not np.array_equal(a.layer1.weights, b.layer1.weights)
 
 
 def test_init_scale_and_zero_biases():
-    net = init_network(3, 4, np.random.default_rng(7), 0.0002)
     in_dim = 3 * 3 * 4
+    net = init_network(in_dim, np.random.default_rng(7))
     assert np.abs(net.layer1.weights).max() <= (1.0 / in_dim) ** 0.5
     assert np.abs(net.layer2.weights).max() <= (1.0 / HIDDEN_UNITS) ** 0.5
     assert not net.layer1.biases.any()
     assert not net.layer2.biases.any()
-
-
-def test_init_rejects_degenerate_maps():
-    with pytest.raises(ValueError):
-        init_network(1, 5, np.random.default_rng(0), 0.0002)
 
 
 # --- forward -----------------------------------------------------------------
@@ -81,7 +73,6 @@ def test_forward_zero_network_is_zero():
     net = QNetwork(
         layer1=DenseLayer(np.zeros((3, 4)), np.zeros(3)),
         layer2=DenseLayer(np.zeros((4, 3)), np.zeros(4)),
-        learning_rate=0.1,
     )
     assert forward(net, np.ones(4)).tolist() == [0, 0, 0, 0]
 
@@ -117,44 +108,44 @@ def test_train_step_zero_residual_changes_nothing():
     target = float(forward(net, x)[2])
     w1 = net.layer1.weights.copy()
     w2 = net.layer2.weights.copy()
-    _, loss = train_step(net, x, 2, target)
+    loss = train_step(net, x, 2, target, 0.1)
     assert loss == 0.0
     assert np.array_equal(net.layer1.weights, w1)
     assert np.array_equal(net.layer2.weights, w2)
 
 
 def test_train_step_zero_learning_rate():
-    net = toy_network(learning_rate=0.0)
+    net = toy_network()
     x = np.array([1.0, 1.0])
     w1 = net.layer1.weights.copy()
-    _, loss = train_step(net, x, 0, 10.0)
+    loss = train_step(net, x, 0, 10.0, 0.0)
     assert np.array_equal(net.layer1.weights, w1)
     assert loss == pytest.approx((3.5 - 10.0) ** 2)
 
 
 def test_train_step_reduces_loss():
-    net = toy_network(learning_rate=0.01)
+    net = toy_network()
     x = np.array([1.0, 1.0])
     before = float((forward(net, x)[0] - 10.0) ** 2)
-    _, after = train_step(net, x, 0, 10.0)
+    after = train_step(net, x, 0, 10.0, 0.01)
     assert after < before
 
 
 def test_train_step_returns_post_update_loss():
     rng = np.random.default_rng(9)
-    net = random_small_network(rng, learning_rate=0.05)
+    net = random_small_network(rng)
     x = rng.normal(0, 1, 6)
-    _, loss = train_step(net, x, 1, 4.0)
+    loss = train_step(net, x, 1, 4.0, 0.05)
     assert loss == pytest.approx(float((forward(net, x)[1] - 4.0) ** 2), rel=1e-12)
 
 
 def test_train_step_untaken_action_isolation():
     rng = np.random.default_rng(10)
-    net = random_small_network(rng, learning_rate=0.05)
+    net = random_small_network(rng)
     x = rng.normal(0, 1, 6)
     w2 = net.layer2.weights.copy()
     b2 = net.layer2.biases.copy()
-    train_step(net, x, 2, 5.0)
+    train_step(net, x, 2, 5.0, 0.05)
     for a in (0, 1, 3):
         assert np.array_equal(net.layer2.weights[a], w2[a])
         assert net.layer2.biases[a] == b2[a]
@@ -164,23 +155,23 @@ def test_train_step_untaken_action_isolation():
 
 def test_train_step_shape_error():
     with pytest.raises(ShapeError):
-        train_step(toy_network(), np.ones(5), 0, 1.0)
+        train_step(toy_network(), np.ones(5), 0, 1.0, 0.1)
 
 
 def test_train_step_non_finite_raises():
     net = toy_network()
     net.layer1.weights[0, 0] = np.inf
     with pytest.raises(NumericalError):
-        train_step(net, np.array([1.0, 1.0]), 0, 0.0)
+        train_step(net, np.array([1.0, 1.0]), 0, 0.0, 0.1)
 
 
 def test_train_step_deterministic_sequences():
     def run():
         rng = np.random.default_rng(33)
-        net = init_network(2, 2, rng, learning_rate=0.001)
+        net = init_network(12, rng)
         for _ in range(40):
             x = rng.integers(0, 2, 12).astype(float)
-            train_step(net, x, int(rng.integers(4)), float(rng.normal(0, 20)))
+            train_step(net, x, int(rng.integers(4)), float(rng.normal(0, 20)), 0.001)
         return net
 
     a, b = run(), run()
@@ -224,7 +215,7 @@ def test_train_step_matches_dense_outer_update(
     """train_step skips the zero columns of the layer-1 outer product; the
     result must equal the dense update bit for bit, whatever the input."""
     rng = np.random.default_rng(seed)
-    net = random_small_network(rng, in_dim, hidden, learning_rate)
+    net = random_small_network(rng, in_dim, hidden)
     x = observation_of(kind, rng, in_dim)
     w1, b1 = net.layer1.weights.copy(), net.layer1.biases.copy()
     w2, b2 = net.layer2.weights.copy(), net.layer2.biases.copy()
@@ -242,7 +233,7 @@ def test_train_step_matches_dense_outer_update(
     z1_after = z1 - (lr * (x @ x + 1.0)) * grad_z1
     residual = w2[action] @ np.maximum(z1_after, 0.0) + b2[action] - target
 
-    _, loss = train_step(net, x, action, target)
+    loss = train_step(net, x, action, target, learning_rate)
     assert same_bits(net.layer1.weights, w1)
     assert same_bits(net.layer1.biases, b1)
     assert same_bits(net.layer2.weights, w2)
@@ -287,7 +278,7 @@ def test_gradients_match_finite_differences():
     worst = 0.0
     for trial in range(20):
         rng = np.random.default_rng(trial)
-        net = random_small_network(rng, learning_rate=1.0)
+        net = random_small_network(rng)
         params = (
             net.layer1.weights.copy(),
             net.layer1.biases.copy(),
@@ -298,7 +289,7 @@ def test_gradients_match_finite_differences():
         action = int(rng.integers(4))
         target = float(rng.normal(0, 3))
 
-        train_step(net, x, action, target)
+        train_step(net, x, action, target, 1.0)
         analytic = [
             params[0] - net.layer1.weights,
             params[1] - net.layer1.biases,

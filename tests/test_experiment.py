@@ -1,10 +1,12 @@
 """Harness tests: spec validation, episodes, runs, aggregation, CSV."""
 
 import io
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from swarmcover import experiment
 from swarmcover.agent import SwarmController
 from swarmcover.experiment import (
     CSV_HEADER,
@@ -186,6 +188,21 @@ def test_traces_record_every_move():
 def test_run_sweep_parallel_matches_sequential():
     specs = [tiny_spec(seeds=(1, 2), max_episodes=2, n_uavs=n) for n in (1, 2)]
     assert run_sweep(specs, parallelism=2) == run_sweep(specs, parallelism=1)
+
+
+def test_run_sweep_starts_at_most_one_worker_per_spec(monkeypatch):
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    specs = [tiny_spec(n_uavs=n) for n in (1, 2)]
+    assert run_sweep(specs, parallelism=4) == run_sweep(specs, parallelism=1)
+    assert run_sweep(specs[:1], parallelism=3) == run_sweep(specs[:1], parallelism=1)
+    assert pools == [2]  # the one-spec sweep ran in this process
 
 
 # --- aggregation -----------------------------------------------------------------

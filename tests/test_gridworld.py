@@ -11,9 +11,6 @@ from swarmcover.gridworld import (
     NEW_CELL_BASE_REWARD,
     VISITED_CELL_REWARD,
     Action,
-    DisconnectedMapError,
-    EmptyMapError,
-    FormatError,
     MapError,
     MoveKind,
     encode_observation,
@@ -43,29 +40,29 @@ def test_parse_single_obstacle():
 
 
 def test_parse_disconnected_free_cells():
-    with pytest.raises(DisconnectedMapError):
+    with pytest.raises(MapError, match="4-connected"):
         parse_map("1#\n#.")
 
 
 def test_parse_ragged_lines():
-    with pytest.raises(FormatError, match="line 2"):
+    with pytest.raises(MapError, match="line 2"):
         parse_map("..\n...")
 
 
 def test_parse_unknown_character():
-    with pytest.raises(FormatError):
+    with pytest.raises(MapError, match="unknown character 'x'"):
         parse_map(".x\n..")
 
 
 def test_parse_no_free_cell():
-    with pytest.raises(EmptyMapError):
+    with pytest.raises(MapError, match="no free cell"):
         parse_map("##\n##")
 
 
 def test_parse_too_small():
-    with pytest.raises(FormatError):
+    with pytest.raises(MapError, match="at least 2x2"):
         parse_map("...")
-    with pytest.raises(FormatError):
+    with pytest.raises(MapError, match="empty"):
         parse_map("")
 
 
@@ -75,12 +72,12 @@ def test_parse_start_digits_in_order():
 
 
 def test_parse_duplicate_start_digit():
-    with pytest.raises(FormatError):
+    with pytest.raises(MapError, match="more than once"):
         parse_map("11\n..")
 
 
 def test_parse_gapped_start_digits():
-    with pytest.raises(FormatError):
+    with pytest.raises(MapError, match="without gaps"):
         parse_map("1.\n.3")
 
 
@@ -175,18 +172,19 @@ def test_transition_does_not_mutate_input_state():
 
 def test_transition_conservation_random_walk():
     # Exactly one outcome kind per move; visited count grows by one
-    # exactly on NewCell and never shrinks.
+    # exactly on NewCell and never shrinks; a blocked UAV stays put.
     grid = load_bundled_map("grove_5x5")
     state = initial_swarm_state(grid, 2)
     rng = np.random.default_rng(11)
     for _ in range(300):
         uav = int(rng.integers(2))
         before = int(np.count_nonzero(state.visited))
+        position_before = state.positions[uav]
         state, outcome = transition(grid, state, uav, int(rng.integers(4)))
         grew = int(np.count_nonzero(state.visited)) - before
         assert grew == (1 if outcome.kind is MoveKind.NEW_CELL else 0)
         if outcome.kind is MoveKind.BLOCKED:
-            assert outcome.new_position == state.positions[uav]
+            assert state.positions[uav] == position_before
 
 
 @st.composite
