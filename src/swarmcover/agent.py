@@ -120,7 +120,7 @@ def bellman_target(
     when the transition ended the episode."""
     if terminal:
         return float(reward)
-    return float(reward + gamma * np.max(next_qvalues))
+    return float(reward + gamma * next_qvalues.max())
 
 
 def train_from_memory(
@@ -129,18 +129,24 @@ def train_from_memory(
     spec: ExperimentSpec,
     rng: np.random.Generator,
 ) -> float:
-    """One training pass: sample up to batch_size experiences and apply a
-    train_step per sample, recomputing each Bellman target with the
-    network as it stands at that point. Returns the mean loss."""
+    """One training pass: sample up to batch_size experiences and train on
+    them in sampled order, in one batched train_step. Each Bellman target
+    comes from the network as the samples before it left it, as in
+    sequential experience replay. Returns the mean loss."""
     batch = memory.sample(spec.batch_size, rng)
-    total_loss = 0.0
-    for exp in batch:
-        next_qvalues = forward(net, exp.next_observation)
-        target = bellman_target(exp.reward, spec.gamma, next_qvalues, exp.terminal)
-        total_loss += train_step(
-            net, exp.observation, int(exp.action), target, spec.learning_rate
-        )
-    return total_loss / len(batch)
+
+    def target(i: int, next_qvalues: np.ndarray) -> float:
+        exp = batch[i]
+        return bellman_target(exp.reward, spec.gamma, next_qvalues, exp.terminal)
+
+    return train_step(
+        net,
+        np.stack([exp.observation for exp in batch]),
+        [exp.action for exp in batch],
+        target,
+        spec.learning_rate,
+        np.stack([exp.next_observation for exp in batch]),
+    )
 
 
 def step_swarm(

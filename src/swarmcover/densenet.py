@@ -3,7 +3,9 @@
 Architecture: input -> 1013 ReLU units -> 4 linear outputs, one raw
 Q-value per compass action. Training is plain SGD on the squared error of
 the taken action's output; gradients are computed analytically and the
-test suite cross-checks them against central finite differences.
+test suite cross-checks them against central finite differences. A replay
+pass of 16 experiences is one batched ``train_step`` call that equals 16
+sequential SGD steps up to rounding.
 
 Q-values stay linear (unbounded) so they can regress onto reward-scale
 targets.
@@ -11,7 +13,11 @@ targets.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +30,7 @@ class ShapeError(ValueError):
 
 
 class NumericalError(ArithmeticError):
-    """A gradient came out non-finite."""
+    """A gradient, Q-value or loss came out non-finite: training diverged."""
 
 
 @dataclass
@@ -57,81 +63,163 @@ def init_network(input_size: int, rng: np.random.Generator) -> QNetwork:
     )
 
 
-def _layer1(net: QNetwork, observation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The observation as a float vector, checked against the network's
-    input size, and its layer-1 pre-activation ``W1 @ x + b1``."""
-    observation = np.asarray(observation, dtype=float)
+@functools.cache
+def _openblas_thread_calls():
+    """The get/set thread-count functions of the OpenBLAS that numpy's
+    wheel bundles, or None when numpy runs on another BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib_path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(lib_path))
+        for name in ("scipy_openblas_{}64_", "openblas_{}"):
+            get = getattr(lib, name.format("get_num_threads"), None)
+            set_ = getattr(lib, name.format("set_num_threads"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its count.
+
+    A replay pass multiplies 32x75 by 75x1013 matrices. A second BLAS
+    thread does not speed that up, and when the other cores are busy, as
+    with parallel runs, its waiting makes training several times slower.
+    Without a bundled OpenBLAS this does nothing.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _layer1(net: QNetwork, observations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The observations as floats, one per row (or a single vector),
+    checked against the network's input size, and their layer-1
+    pre-activations ``x @ W1.T + b1``, one row per observation.
+
+    The bias is added in place: the broadcast form allocates a second
+    batch-sized temporary. A single vector rounds exactly like ``W1 @ x``.
+    """
+    observations = np.asarray(observations, dtype=float)
     weights, biases = net.layer1.weights, net.layer1.biases
-    if observation.shape != weights.shape[1:]:
+    if observations.ndim > 2 or observations.shape[-1:] != weights.shape[1:]:
         raise ShapeError(
-            f"observation has shape {observation.shape}, expected {weights.shape[1:]}"
+            f"observation has shape {observations.shape}, expected {weights.shape[1:]}"
         )
-    return observation, weights @ observation + biases
+    z1 = observations @ weights.T
+    z1 += biases
+    return observations, z1
 
 
 def forward(net: QNetwork, observation: np.ndarray) -> np.ndarray:
-    """Q-values for all actions: layer2(relu(layer1(observation)))."""
-    _, z1 = _layer1(net, observation)
-    return net.layer2.weights @ np.maximum(z1, 0.0) + net.layer2.biases
+    """Q-values for all actions: layer2(relu(layer1(observation))).
+
+    Raises NumericalError, rather than warning, when they come out
+    non-finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, z1 = _layer1(net, observation)
+        qvalues = net.layer2.weights @ np.maximum(z1, 0.0) + net.layer2.biases
+    if not np.isfinite(qvalues).all():
+        raise NumericalError("non-finite Q-values in forward")
+    return qvalues
 
 
 def train_step(
     net: QNetwork,
-    observation: np.ndarray,
-    action: int,
-    target: float,
+    observations: np.ndarray,
+    actions,
+    targets,
     learning_rate: float,
+    next_observations: np.ndarray | None = None,
 ) -> float:
-    """One SGD step on the squared error of the taken action's Q-value.
+    """SGD steps on the squared error of each taken action's Q-value.
 
-    Only that output's error drives the update, so the layer-2 weights of
-    the other actions never move. Parameters are updated in place; the loss
-    at the post-update parameters is returned for logging.
+    ``observations`` is one vector, with one action and a float target, or
+    k rows taken as k steps in order, each from the parameters the steps
+    before it left. Then ``targets`` holds k floats or, when k
+    ``next_observations`` are given, is called as ``targets(i, qvalues)``
+    with the Q-values of next observation i at the parameters step i
+    starts from. Only the taken action's error drives a step, so the
+    layer-2 weights of the other actions never move. Parameters are
+    updated in place; the mean loss, each at the parameters right after its
+    step, is returned for logging.
+
+    Layer 1 is batched through the rank-1 identity of its update: step j
+    moves W1 by ``-outer(s_j, x_j)`` and b1 by ``-s_j``, which moves the
+    pre-activation of any vector v by exactly ``-s_j * (x_j . v + 1)``. So
+    one product gives every pre-activation at the starting parameters,
+    each step corrects its own rows for the steps before it, and W1 takes
+    all k steps at the end in one product. This equals k sequential steps
+    up to rounding, and a single step bit for bit.
     """
     w1, b1 = net.layer1.weights, net.layer1.biases
     w2, b2 = net.layer2.weights, net.layer2.biases
+    lr = learning_rate
+    observations = np.asarray(observations, dtype=float)
+    if observations.ndim == 1:
+        observations, actions, targets = observations[None], [actions], [targets]
+    k = len(observations)
+    vectors = observations
+    if next_observations is not None:
+        vectors = np.concatenate((observations, next_observations))
 
-    # Overflow here shows up as non-finite gradients, reported below as
+    # Overflow here shows up as non-finite gradients or losses, reported as
     # NumericalError rather than as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        observation, z1 = _layer1(net, observation)
-        action = int(action)
-        hidden = np.maximum(z1, 0.0)
-        q_action = w2[action] @ hidden + b2[action]
+        vectors, z = _layer1(net, vectors)
+        x = vectors[:k]
+        # gram[j, c] = x_j . v_c + 1: how far step j moves row c of z.
+        gram = x @ vectors.T
+        gram += 1.0
+        steps = np.empty((k, b1.size))
+        total = 0.0
+        for i in range(k):
+            # Row i of z, then row k + i when next observations are given.
+            rows = z[i::k]
+            if i:
+                rows = rows - gram[:i, i::k].T @ steps[:i]
+            z1 = rows[0]
+            if next_observations is None:
+                target = targets[i]
+            else:
+                target = targets(i, w2 @ np.maximum(rows[1], 0.0) + b2)
+            action = int(actions[i])
+            hidden = np.maximum(z1, 0.0)
+            q_action = w2[action] @ hidden + b2[action]
 
-        grad_q = 2.0 * (q_action - target)
-        if not np.isfinite(grad_q):
-            raise NumericalError("non-finite gradient in train_step")
+            grad_q = 2.0 * (q_action - target)
+            if not np.isfinite(grad_q):
+                raise NumericalError("non-finite gradient in train_step")
 
-        # Backprop through the taken action's output only.
-        grad_hidden = grad_q * w2[action]
-        grad_z1 = np.where(z1 > 0.0, grad_hidden, 0.0)
-        if not np.isfinite(grad_z1).all():
-            raise NumericalError("non-finite gradient in train_step")
+            # Backprop through the taken action's output only.
+            grad_hidden = grad_q * w2[action]
+            grad_z1 = np.where(z1 > 0.0, grad_hidden, 0.0)
+            if not np.isfinite(grad_z1).all():
+                raise NumericalError("non-finite gradient in train_step")
 
-        lr = learning_rate
-        w2[action] -= lr * grad_q * hidden
-        b2[action] -= lr * grad_q
-        # dW1 = outer(lr * grad_z1, x), applied only to the columns where x
-        # is nonzero: a zero column of the outer product is an exact 0 and
-        # leaves its weights unchanged. Observations are 0/1 and at most a
-        # third nonzero, so this skips most of the work. The columns that
-        # move get the same products and subtractions as the dense update,
-        # so the result is bit-identical (and since x * 1.0 is exact, 0/1
-        # inputs skip the multiply). W1 stays row-major although that makes
-        # its columns strided: a transposed or Fortran-ordered W1 rounds the
-        # `w1 @ x` matvecs differently.
-        step = lr * grad_z1
-        for j in np.flatnonzero(observation).tolist():
-            x_j = observation[j]
-            w1[:, j] -= step if x_j == 1.0 else step * x_j
-        b1 -= step
+            w2[action] -= lr * grad_q * hidden
+            b2[action] -= lr * grad_q
+            np.multiply(lr, grad_z1, out=steps[i])
 
-        # Post-update loss, without a second full forward pass: the layer-1
-        # update shifts each pre-activation by exactly
-        # -lr * grad_z1 * (x.x + 1), since dW1 = outer(grad_z1, x), db1 = grad_z1.
-        z1_after = z1 - (lr * (observation @ observation + 1.0)) * grad_z1
-        q_after = w2[action] @ np.maximum(z1_after, 0.0) + b2[action]
-        residual = q_after - target
-    return float(residual * residual)
-
+            # Post-update loss, without a second forward pass: this step
+            # alone shifts z1 by -lr * grad_z1 * (x.x + 1).
+            z1_after = z1 - (lr * gram[i, i]) * grad_z1
+            residual = w2[action] @ np.maximum(z1_after, 0.0) + b2[action] - target
+            total += residual * residual
+        w1 -= steps.T @ x
+        b1 -= steps.sum(axis=0)
+        loss = total / k
+    if not np.isfinite(loss):
+        raise NumericalError("non-finite loss in train_step")
+    return float(loss)

@@ -26,6 +26,7 @@ from dataclasses import MISSING, dataclass, field
 import numpy as np
 
 from .agent import LOCAL, MODES, SwarmController, step_swarm
+from .densenet import one_blas_thread
 from .gridworld import (
     GridMap,
     initial_swarm_state,
@@ -270,12 +271,15 @@ def run_episode(
 
 def run_seed(spec: ExperimentSpec, seed: int) -> RunResult:
     """One fully deterministic run: a fresh controller trained for
-    ``max_episodes`` episodes, everything driven by one generator."""
+    ``max_episodes`` episodes, everything driven by one generator, with
+    BLAS on one thread."""
     rng = np.random.default_rng(seed)
     controller = SwarmController(spec, rng)
-    episodes = tuple(
-        run_episode(controller, episode, rng) for episode in range(spec.max_episodes)
-    )
+    with one_blas_thread():
+        episodes = tuple(
+            run_episode(controller, episode, rng)
+            for episode in range(spec.max_episodes)
+        )
     return RunResult(seed=seed, episodes=episodes)
 
 

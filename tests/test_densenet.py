@@ -1,18 +1,23 @@
 """Network tests; the finite-difference gradient oracle is the anchor."""
 
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from swarmcover.agent import bellman_target
 from swarmcover.densenet import (
     HIDDEN_UNITS,
     DenseLayer,
     NumericalError,
     QNetwork,
     ShapeError,
+    _openblas_thread_calls,
     forward,
     init_network,
+    one_blas_thread,
     train_step,
 )
 
@@ -165,6 +170,23 @@ def test_train_step_non_finite_raises():
         train_step(net, np.array([1.0, 1.0]), 0, 0.0, 0.1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target", [1e150, 1e200])
+def test_train_step_overflowing_loss_raises(target):
+    """A step this far off overflows the post-update loss; that must be a
+    NumericalError, not a numpy warning or an infinite loss."""
+    with pytest.raises(NumericalError):
+        train_step(toy_network(), np.array([1.0, 1.0]), 0, target, 1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_forward_non_finite_raises():
+    net = toy_network()
+    net.layer2.weights[0, 0] = 1e308
+    with pytest.raises(NumericalError):
+        forward(net, np.array([1.0, 1.0]))
+
+
 def test_train_step_deterministic_sequences():
     def run():
         rng = np.random.default_rng(33)
@@ -181,7 +203,7 @@ def test_train_step_deterministic_sequences():
     assert np.array_equal(a.layer2.biases, b.layer2.biases)
 
 
-# --- sparse layer-1 update ------------------------------------------------------
+# --- layer-1 update: one step and a batch ------------------------------------
 
 
 def observation_of(kind, rng, size):
@@ -239,6 +261,68 @@ def test_train_step_matches_dense_outer_update(
     assert same_bits(net.layer2.weights, w2)
     assert same_bits(net.layer2.biases, b2)
     assert same_bits(loss, float(residual * residual))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["binary", "sparse_real", "zeros", "dense"]),
+    in_dim=st.integers(1, 12),
+    hidden=st.integers(1, 8),
+    k=st.integers(1, 16),
+    learning_rate=st.sampled_from([0.05, 0.0002]),
+)
+def test_batched_train_step_matches_sequential_steps(
+    seed, kind, in_dim, hidden, k, learning_rate
+):
+    """A k-row train_step equals k one-row steps, each target taken from
+    forward + bellman_target at the parameters that step starts from, up
+    to rounding: every parameter and the mean loss agree within
+    1e-9 * (1 + |reference|)."""
+    rng = np.random.default_rng(seed)
+    batched = random_small_network(rng, in_dim, hidden)
+    sequential = copy.deepcopy(batched)
+    observations = np.array([observation_of(kind, rng, in_dim) for _ in range(k)])
+    next_observations = np.array([observation_of(kind, rng, in_dim) for _ in range(k)])
+    actions = rng.integers(0, 4, k)
+    rewards = rng.normal(0, 30, k)
+    terminal = rng.random(k) < 0.3
+
+    def target(i, next_qvalues):
+        return bellman_target(rewards[i], 0.83, next_qvalues, terminal[i])
+
+    try:
+        losses = [
+            train_step(
+                sequential, observations[i], actions[i],
+                target(i, forward(sequential, next_observations[i])), learning_rate,
+            )
+            for i in range(k)
+        ]
+    except NumericalError:
+        assume(False)
+    loss = train_step(
+        batched, observations, actions, target, learning_rate, next_observations
+    )
+    for got, want in [
+        (batched.layer1.weights, sequential.layer1.weights),
+        (batched.layer1.biases, sequential.layer1.biases),
+        (batched.layer2.weights, sequential.layer2.weights),
+        (batched.layer2.biases, sequential.layer2.biases),
+        (loss, sum(losses) / k),
+    ]:
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
+def test_one_blas_thread_sets_and_restores_the_count():
+    calls = _openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    get_threads, _ = calls
+    before = get_threads()
+    with one_blas_thread():
+        assert get_threads() == 1
+    assert get_threads() == before
 
 
 # --- gradient oracle ---------------------------------------------------------

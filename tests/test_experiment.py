@@ -8,6 +8,7 @@ import pytest
 
 from swarmcover import experiment
 from swarmcover.agent import SwarmController
+from swarmcover.densenet import NumericalError
 from swarmcover.experiment import (
     CSV_HEADER,
     AllRunsFailedError,
@@ -183,6 +184,41 @@ def test_traces_record_every_move():
     for rec in result.episodes:
         assert rec.moves is not None
         assert len(rec.moves) == rec.total_actions
+
+
+TINY_3X3 = parse_map(".1.\n.#.\n23.\n")
+
+
+@pytest.mark.parametrize("n_uavs", [1, 3])
+@pytest.mark.parametrize("map_id", ["tiny_3x3", "grove_5x5"])
+def test_covering_episodes_need_free_minus_uavs_actions(map_id, n_uavs):
+    """Start cells count as visited, and every other free cell takes at
+    least one action to enter, so no covering episode is shorter."""
+    grid = TINY_3X3 if map_id == "tiny_3x3" else load_bundled_map(map_id)
+    spec = tiny_spec(map_id=map_id, grid=grid, n_uavs=n_uavs, seeds=(1, 2),
+                     max_episodes=4, step_budget=150)
+    covering = [
+        rec.total_actions
+        for result in run_experiment(spec)
+        for rec in result.episodes
+        if rec.covered
+    ]
+    assert covering, "no episode covered; the check would be empty"
+    assert min(covering) >= grid.free_count - n_uavs
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("learning_rate", [0.05, 1.0, 1e3])
+@pytest.mark.parametrize("map_id", ["tiny_3x3", "grove_5x5"])
+def test_diverging_run_raises_numerical_error(map_id, learning_rate):
+    """A learning rate this high overflows the network within a few
+    episodes; that must end the run with NumericalError, not leak numpy
+    overflow warnings on the way."""
+    grid = TINY_3X3 if map_id == "tiny_3x3" else load_bundled_map(map_id)
+    spec = tiny_spec(map_id=map_id, grid=grid, max_episodes=3, step_budget=60,
+                     learning_rate=learning_rate)
+    with pytest.raises(NumericalError):
+        run_seed(spec, 1)
 
 
 def test_run_sweep_parallel_matches_sequential():

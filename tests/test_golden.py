@@ -11,9 +11,9 @@ with traces on. Three sha256 digests are pinned in ``golden.json``:
   JSON. The short grove episodes stop at the step budget without covering,
   so only this digest sees their moves.
 
-numpy's matrix-vector products go through OpenBLAS, which with
-DYNAMIC_ARCH picks its kernels for the CPU at run time and may round
-differently on another one. ``golden.json`` therefore also records the
+numpy's matrix-vector and matrix-matrix products go through OpenBLAS,
+which with DYNAMIC_ARCH picks its kernels for the CPU at run time and may
+round differently on another one. ``golden.json`` therefore also records the
 environment the digests were made in, and a failure prints it next to the
 current one: a different CPU or BLAS points to rounding, the same one to a
 regression.
