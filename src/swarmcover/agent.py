@@ -141,11 +141,11 @@ def train_from_memory(
 
     return train_step(
         net,
-        np.stack([exp.observation for exp in batch]),
+        np.array([exp.observation for exp in batch]),
         [exp.action for exp in batch],
         target,
         spec.learning_rate,
-        np.stack([exp.next_observation for exp in batch]),
+        np.array([exp.next_observation for exp in batch]),
     )
 
 

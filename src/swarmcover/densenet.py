@@ -5,7 +5,9 @@ Q-value per compass action. Training is plain SGD on the squared error of
 the taken action's output; gradients are computed analytically and the
 test suite cross-checks them against central finite differences. A replay
 pass of 16 experiences is one batched ``train_step`` call that equals 16
-sequential SGD steps up to rounding.
+sequential SGD steps up to rounding. It writes into scratch arrays kept
+per layer-1 weight shape, so ``train_step`` is neither re-entrant nor
+thread-safe.
 
 Q-values stay linear (unbounded) so they can regress onto reward-scale
 targets.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +29,8 @@ N_ACTIONS = 4
 
 
 class ShapeError(ValueError):
-    """Input vector length does not match the network."""
+    """An input does not fit the network, or a batch's parts differ in
+    length."""
 
 
 class NumericalError(ArithmeticError):
@@ -102,37 +106,81 @@ def one_blas_thread():
         set_(before)
 
 
-def _layer1(net: QNetwork, observations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The observations as floats, one per row (or a single vector),
-    checked against the network's input size, and their layer-1
-    pre-activations ``x @ W1.T + b1``, one row per observation.
+def _checked_inputs(net: QNetwork, inputs, ndim: int) -> np.ndarray:
+    """``inputs`` as floats, after checking that they are ``ndim``-D
+    (1: one vector, 2: one vector per row) and of the network's input
+    size."""
+    inputs = np.asarray(inputs, dtype=float)
+    size = net.layer1.weights.shape[1]
+    if inputs.ndim != ndim or inputs.shape[-1] != size:
+        expected = f"(k, {size})" if ndim == 2 else f"({size},)"
+        raise ShapeError(f"input has shape {inputs.shape}, expected {expected}")
+    return inputs
+
+
+def _layer1(
+    net: QNetwork, inputs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Layer-1 pre-activations ``x @ W1.T + b1`` of checked inputs, one row
+    per input (or a single vector), written into ``out`` when given.
 
     The bias is added in place: the broadcast form allocates a second
     batch-sized temporary. A single vector rounds exactly like ``W1 @ x``.
     """
-    observations = np.asarray(observations, dtype=float)
-    weights, biases = net.layer1.weights, net.layer1.biases
-    if observations.ndim > 2 or observations.shape[-1:] != weights.shape[1:]:
-        raise ShapeError(
-            f"observation has shape {observations.shape}, expected {weights.shape[1:]}"
-        )
-    z1 = observations @ weights.T
-    z1 += biases
-    return observations, z1
+    z1 = np.matmul(inputs, net.layer1.weights.T, out=out)
+    z1 += net.layer1.biases
+    return z1
 
 
 def forward(net: QNetwork, observation: np.ndarray) -> np.ndarray:
     """Q-values for all actions: layer2(relu(layer1(observation))).
 
     Raises NumericalError, rather than warning, when they come out
-    non-finite.
+    non-finite, and ShapeError unless ``observation`` is one vector of the
+    network's input size.
     """
+    observation = _checked_inputs(net, observation, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, z1 = _layer1(net, observation)
+        z1 = _layer1(net, observation)
         qvalues = net.layer2.weights @ np.maximum(z1, 0.0) + net.layer2.biases
     if not np.isfinite(qvalues).all():
         raise NumericalError("non-finite Q-values in forward")
     return qvalues
+
+
+class _Scratch:
+    """The arrays a replay pass writes into, for one W1 shape and up to
+    ``capacity`` samples. Kept between passes, so that a pass allocates
+    only small temporaries: its (k, 2k) Gram matrix, a few vectors and
+    numpy's broadcast buffer."""
+
+    def __init__(self, capacity: int, hidden: int, inputs: int) -> None:
+        self.capacity = capacity
+        self.vectors = np.empty((2 * capacity, inputs))  # observations, then next
+        self.z = np.empty((2 * capacity, hidden))  # their pre-activations
+        self.steps = np.empty((capacity, hidden))  # lr * grad_z1 of each sample
+        self.grads = np.empty((capacity, hidden))  # grad_z1, then the post-step ReLU
+        self.w2_rows = np.empty((capacity, hidden))  # taken action's row after its step
+        self.correction = np.empty((2, hidden))
+        self.relu = np.empty((2, hidden))
+        self.active = np.empty(hidden, dtype=bool)  # one sample's z1 > 0, as 1 or 0
+        self.w1_step = np.empty((hidden, inputs))
+        self.b1_step = np.empty(hidden)
+
+
+# One grow-only set per W1 shape, its capacity a power of two.
+_scratch_sets: dict[tuple[int, ...], _Scratch] = {}
+
+
+def _scratch_for(w1_shape: tuple[int, ...], k: int) -> _Scratch:
+    scratch = _scratch_sets.get(w1_shape)
+    if scratch is None or scratch.capacity < k:
+        # Free the smaller set before allocating its successor.
+        del scratch
+        _scratch_sets.pop(w1_shape, None)
+        scratch = _Scratch(1 << (k - 1).bit_length(), *w1_shape)
+        _scratch_sets[w1_shape] = scratch
+    return scratch
 
 
 def train_step(
@@ -153,7 +201,8 @@ def train_step(
     starts from. Only the taken action's error drives a step, so the
     layer-2 weights of the other actions never move. Parameters are
     updated in place; the mean loss, each at the parameters right after its
-    step, is returned for logging.
+    step, is returned for logging. A batch whose parts differ in length,
+    or do not fit the network, raises ShapeError.
 
     Layer 1 is batched through the rank-1 identity of its update: step j
     moves W1 by ``-outer(s_j, x_j)`` and b1 by ``-s_j``, which moves the
@@ -162,6 +211,10 @@ def train_step(
     each step corrects its own rows for the steps before it, and W1 takes
     all k steps at the end in one product. This equals k sequential steps
     up to rounding, and a single step bit for bit.
+
+    The pass writes into scratch arrays kept per W1 shape, so it allocates
+    no large temporary. That makes ``train_step`` neither re-entrant nor
+    thread-safe: a ``targets`` callable must not call it.
     """
     w1, b1 = net.layer1.weights, net.layer1.biases
     w2, b2 = net.layer2.weights, net.layer2.biases
@@ -169,57 +222,96 @@ def train_step(
     observations = np.asarray(observations, dtype=float)
     if observations.ndim == 1:
         observations, actions, targets = observations[None], [actions], [targets]
+    observations = _checked_inputs(net, observations, 2)
     k = len(observations)
-    vectors = observations
-    if next_observations is not None:
-        vectors = np.concatenate((observations, next_observations))
+    if not k:
+        raise ShapeError("no observations")
+    if len(actions) != k:
+        raise ShapeError(f"{len(actions)} actions for {k} observations")
+    scratch = _scratch_for(w1.shape, k)
+    if next_observations is None:
+        if len(targets) != k:
+            raise ShapeError(f"{len(targets)} targets for {k} observations")
+        vectors = observations
+    else:
+        next_observations = _checked_inputs(net, next_observations, 2)
+        if len(next_observations) != k:
+            raise ShapeError(
+                f"{len(next_observations)} next observations for {k} observations"
+            )
+        vectors = np.concatenate(
+            (observations, next_observations), out=scratch.vectors[: 2 * k]
+        )
+    rows_per_sample = len(vectors) // k
 
     # Overflow here shows up as non-finite gradients or losses, reported as
     # NumericalError rather than as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        vectors, z = _layer1(net, vectors)
+        z = _layer1(net, vectors, out=scratch.z[: len(vectors)])
         x = vectors[:k]
         # gram[j, c] = x_j . v_c + 1: how far step j moves row c of z.
         gram = x @ vectors.T
         gram += 1.0
-        steps = np.empty((k, b1.size))
-        total = 0.0
+        gram_t = gram.T
+        steps, grads, w2_rows = scratch.steps[:k], scratch.grads[:k], scratch.w2_rows[:k]
+        correction = scratch.correction[:rows_per_sample]
+        relu = scratch.relu[:rows_per_sample]
+        active = scratch.active
+        active_01 = active.view(np.uint8)
+        grad_bits = grads.view(np.int64)
+        b2_after, step_targets = [], []
         for i in range(k):
-            # Row i of z, then row k + i when next observations are given.
+            # Row i of z, then row k + i when next observations are given,
+            # corrected in place for the steps before this one.
             rows = z[i::k]
             if i:
-                rows = rows - gram[:i, i::k].T @ steps[:i]
-            z1 = rows[0]
+                np.matmul(gram_t[i::k, :i], steps[:i], out=correction)
+                rows -= correction
+            np.maximum(rows, 0.0, out=relu)
+            hidden = relu[0]
             if next_observations is None:
                 target = targets[i]
             else:
-                target = targets(i, w2 @ np.maximum(rows[1], 0.0) + b2)
+                target = targets(i, w2 @ relu[1] + b2)
             action = int(actions[i])
-            hidden = np.maximum(z1, 0.0)
-            q_action = w2[action] @ hidden + b2[action]
-
-            grad_q = 2.0 * (q_action - target)
-            if not np.isfinite(grad_q):
+            w2a, b2a = w2[action], b2[action]
+            grad_q = 2.0 * (w2a @ hidden + b2a - target)
+            if not math.isfinite(grad_q):
                 raise NumericalError("non-finite gradient in train_step")
 
-            # Backprop through the taken action's output only.
-            grad_hidden = grad_q * w2[action]
-            grad_z1 = np.where(z1 > 0.0, grad_hidden, 0.0)
-            if not np.isfinite(grad_z1).all():
-                raise NumericalError("non-finite gradient in train_step")
-
-            w2[action] -= lr * grad_q * hidden
-            b2[action] -= lr * grad_q
+            # Backprop through the taken action's output only: grad_z1 is
+            # grad_q * w2[action] where z1 > 0, and +0.0 elsewhere. z1 > 0
+            # exactly where the ReLU row is > 0, since a NaN or +inf in z1
+            # would have made grad_q non-finite. Multiplying the bits by 1
+            # or 0 zeroes the rest exactly, without the branches of a
+            # masked assignment.
+            grad_z1 = np.multiply(grad_q, w2a, out=grads[i])
+            np.greater(hidden, 0.0, out=active)
+            np.multiply(grad_bits[i], active_01, out=grad_bits[i])
             np.multiply(lr, grad_z1, out=steps[i])
+            hidden *= lr * grad_q
+            w2a -= hidden
+            b2a = b2[action] = b2a - lr * grad_q
+            w2_rows[i] = w2a
+            b2_after.append(b2a)
+            step_targets.append(target)
+        if not np.isfinite(grads).all():
+            raise NumericalError("non-finite gradient in train_step")
+        w1 -= np.matmul(steps.T, x, out=scratch.w1_step)
+        b1 -= np.sum(steps, axis=0, out=scratch.b1_step)
 
-            # Post-update loss, without a second forward pass: this step
-            # alone shifts z1 by -lr * grad_z1 * (x.x + 1).
-            z1_after = z1 - (lr * gram[i, i]) * grad_z1
-            residual = w2[action] @ np.maximum(z1_after, 0.0) + b2[action] - target
+        # Post-update losses, without a second forward pass: step i alone
+        # shifts its own z1 by -lr * grad_z1 * (x_i . x_i + 1).
+        grads *= (lr * gram.diagonal())[:, None]
+        np.subtract(z[:k], grads, out=grads)
+        np.maximum(grads, 0.0, out=grads)
+        # vecdot rounds each row like w2[action] @ relu, and the residuals
+        # are summed in sample order, as k one-row steps would.
+        total = 0.0
+        for q, b, t in zip(np.vecdot(w2_rows, grads).tolist(), b2_after, step_targets):
+            residual = q + b - t
             total += residual * residual
-        w1 -= steps.T @ x
-        b1 -= steps.sum(axis=0)
         loss = total / k
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NumericalError("non-finite loss in train_step")
     return float(loss)

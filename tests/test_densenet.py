@@ -1,6 +1,7 @@
 """Network tests; the finite-difference gradient oracle is the anchor."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,34 @@ def test_train_step_shape_error():
         train_step(toy_network(), np.ones(5), 0, 1.0, 0.1)
 
 
+@pytest.mark.parametrize(
+    "rows, next_rows, n_actions, n_targets",
+    [
+        (2, 3, 2, None),  # one next observation too many
+        (2, 1, 2, None),  # one too few
+        (2, None, 1, 2),  # too few actions
+        (2, None, 2, 1),  # too few targets
+        (2, None, 3, 2),  # too many actions
+        (0, None, 0, 0),  # no observations at all
+    ],
+)
+def test_train_step_batch_length_mismatch_raises(rows, next_rows, n_actions, n_targets):
+    net = toy_network()
+    observations = np.ones((rows, 2))
+    actions = [0] * n_actions
+    if next_rows is None:
+        args = (observations, actions, [1.0] * n_targets, 0.1)
+    else:
+        args = (observations, actions, lambda i, q: 1.0, 0.1, np.ones((next_rows, 2)))
+    with pytest.raises(ShapeError):
+        train_step(net, *args)
+
+
+def test_forward_rejects_a_batch():
+    with pytest.raises(ShapeError):
+        forward(toy_network(), np.ones((2, 2)))
+
+
 def test_train_step_non_finite_raises():
     net = toy_network()
     net.layer1.weights[0, 0] = np.inf
@@ -234,8 +263,8 @@ def same_bits(a, b):
 def test_train_step_matches_dense_outer_update(
     seed, kind, in_dim, hidden, action, target, learning_rate
 ):
-    """train_step skips the zero columns of the layer-1 outer product; the
-    result must equal the dense update bit for bit, whatever the input."""
+    """A one-row train_step must equal the dense update written out here,
+    outer product and all, bit for bit, whatever the input."""
     rng = np.random.default_rng(seed)
     net = random_small_network(rng, in_dim, hidden)
     x = observation_of(kind, rng, in_dim)
@@ -312,6 +341,57 @@ def test_batched_train_step_matches_sequential_steps(
         (loss, sum(losses) / k),
     ]:
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
+def replay_pass_inputs(seed, in_dim, k):
+    """A k-sample replay pass on 0/1 observations, as the agent makes it."""
+    rng = np.random.default_rng(seed)
+    observations = rng.integers(0, 2, (k, in_dim)).astype(float)
+    next_observations = rng.integers(0, 2, (k, in_dim)).astype(float)
+    actions = rng.integers(0, 4, k)
+    rewards = rng.normal(0, 30, k)
+
+    def target(i, next_qvalues):
+        return bellman_target(rewards[i], 0.83, next_qvalues, i == k - 1)
+
+    return observations, actions, target, 0.0002, next_observations
+
+
+def test_warm_replay_pass_allocates_no_large_temporary():
+    """Scratch arrays are kept per W1 shape: a second 16-sample pass on the
+    grove-sized network allocates well under one (16, 1013) array."""
+    net = init_network(75, np.random.default_rng(3))
+    batch = replay_pass_inputs(4, 75, 16)
+    train_step(net, *batch)
+    tracemalloc.start()
+    try:
+        train_step(net, *batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+
+
+def test_scratch_arrays_carry_nothing_between_passes():
+    """A pass gives the same bits whatever ran on the same W1 shape before
+    it: other batch sizes, a capacity change, a one-row call."""
+    net = init_network(12, np.random.default_rng(5))
+    first, second = copy.deepcopy(net), copy.deepcopy(net)
+    batch = replay_pass_inputs(6, 12, 5)
+    loss_first = train_step(first, *batch)
+    for seed, k in [(7, 3), (8, 16)]:
+        other = init_network(12, np.random.default_rng(seed))
+        train_step(other, *replay_pass_inputs(seed, 12, k))
+    train_step(init_network(12, np.random.default_rng(9)), np.ones(12), 2, 40.0, 0.05)
+    loss_second = train_step(second, *batch)
+    assert same_bits(loss_first, loss_second)
+    for got, want in [
+        (second.layer1.weights, first.layer1.weights),
+        (second.layer1.biases, first.layer1.biases),
+        (second.layer2.weights, first.layer2.weights),
+        (second.layer2.biases, first.layer2.biases),
+    ]:
+        assert same_bits(got, want)
 
 
 def test_one_blas_thread_sets_and_restores_the_count():
