@@ -27,7 +27,6 @@ from .gridworld import (
     SwarmState,
     encode_observation,
     initial_swarm_state,
-    is_coverage_complete,
     transition,
 )
 
@@ -162,7 +161,7 @@ def step_swarm(
     finishing move do not act.
     """
     spec = controller.spec
-    grid, budget = spec.grid, spec.episode_budget
+    grid = spec.grid
     experiences: list[Experience] = []
     done = False
     for uav in range(state.n_uavs):
@@ -172,7 +171,7 @@ def step_swarm(
         action = select_action(qvalues, epsilon, rng)
         state, outcome = transition(grid, state, uav, action, spec.allow_shared_cells)
         next_observation = encode_observation(grid, state)
-        done = is_coverage_complete(grid, state) or state.global_step >= budget
+        done = spec.episode_over(state)
         experience = Experience(observation, action, outcome.reward, next_observation, done)
         experiences.append(experience)
         memory.append(experience)

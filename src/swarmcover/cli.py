@@ -24,7 +24,6 @@ import dataclasses
 import itertools
 import json
 import os
-import re
 import sys
 
 from .agent import MODES
@@ -189,86 +188,81 @@ def main(argv=None) -> int:
 # kept around so diagnostics can point at the offending line.
 
 
-def _line(text: str, section: str, key: str | None = None) -> int | None:
-    """Number of the line that opens [section], or that sets ``key`` in it."""
+def _line(parser, text: str, section: str, key: str | None = None) -> int | None:
+    """Number of the line that opens [section], or that sets ``key`` in it,
+    as configparser's own header and option patterns read it (indented
+    continuation lines aside)."""
     current = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # read_string numbers the lines it splits at "\n" only.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip().lower()
-            if key is None and current == section.lower():
+        if stripped.startswith(("#", ";")):
+            continue
+        header = parser.SECTCRE.match(stripped)
+        if header:
+            current = header.group("header")
+            if key is None and current == section:
                 return lineno
-        elif key is not None and current == section.lower():
-            match = re.match(r"([^=:;#]+)[=:]", stripped)
-            if match and match.group(1).strip().lower() == key.lower():
+        elif key is not None and current == section:
+            option = parser.OPTCRE.match(stripped)
+            if option and parser.optionxform(option.group("option").rstrip()) == key:
                 return lineno
     return None
 
 
-class _ConfigReader:
-    def __init__(self, path: str) -> None:
-        self.path = path
-        try:
-            with open(path, encoding="utf-8") as handle:
-                self.text = handle.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        # Values are taken literally (a '%' in a path is just a '%'), and
-        # there is no default section: [DEFAULT] is an ordinary section
-        # here, so it is rejected like any other unknown one instead of
-        # leaking its keys into [run] and [training].
-        self.parser = configparser.ConfigParser(interpolation=None, default_section=None)
-        try:
-            self.parser.read_string(self.text, source=path)
-        except configparser.Error as exc:
-            raise ConfigError(str(exc)) from exc
-        self._reject_unknown()
+def _read_settings(path: str, args) -> dict:
+    """Field name -> value of every key that the config file at ``path`` or
+    a command line flag sets; a flag overrides the file. The file is read in
+    one pass, so its first error in file order is the one reported."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    # Values are taken literally (a '%' in a path is just a '%'), and
+    # there is no default section: [DEFAULT] is an ordinary section
+    # here, so it is rejected like any other unknown one instead of
+    # leaking its keys into [run] and [training].
+    parser = configparser.ConfigParser(interpolation=None, default_section=None)
+    try:
+        parser.read_string(text, source=path)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
 
-    def _reject_unknown(self) -> None:
-        for section in self.parser.sections():
-            if section not in _KNOWN_KEYS:
-                line = _line(self.text, section)
-                raise ConfigError(
-                    f"{self.path} line {line}: unknown section [{section}]"
-                )
-            for key in self.parser.options(section):
-                if key not in _KNOWN_KEYS[section]:
-                    line = _line(self.text, section, key)
-                    raise ConfigError(
-                        f"{self.path} line {line}: unknown key {key!r} in [{section}]"
-                    )
+    def error(message: str, section: str, key: str | None = None) -> ConfigError:
+        line = _line(parser, text, section, key)
+        return ConfigError(f"{path} line {line}: {message}")
 
-    def settings(self, cls, args) -> dict:
-        """Field name -> value of every key of the dataclass ``cls`` that the
-        file or a command line flag sets; a flag overrides the file."""
-        settings = {}
-        for f in dataclasses.fields(cls):
-            if not f.metadata:
-                continue  # ExperimentSpec.grid: loaded from the map, not a key
-            key, section, parse = _key(f), f.metadata["section"], f.metadata["parse"]
-            value = None
-            raw = self.parser.get(section, key, fallback="").strip()
-            if raw:
+    fields = {(f.metadata["section"], _key(f)): f for f in _FIELDS}
+    settings = {}
+    for section in parser.sections():
+        if section not in _KNOWN_KEYS:
+            raise error(f"unknown section [{section}]", section)
+        for key, raw in parser.items(section):
+            f = fields.get((section, key))
+            if f is None:
+                raise error(f"unknown key {key!r} in [{section}]", section, key)
+            if raw.strip():
                 try:
-                    value = parse(raw)
+                    settings[f.name] = f.metadata["parse"](raw.strip())
                 except ValueError as exc:
-                    line = _line(self.text, section, key)
-                    raise ConfigError(f"{self.path} line {line}: {key}: {exc}") from exc
-            flag = getattr(args, f.name, None)
-            if isinstance(flag, str):
-                try:
-                    flag = parse(flag)
-                except ValueError as exc:
-                    raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from exc
-            if flag is not None:
-                value = flag
-            if value is not None:
-                settings[f.name] = value
-            elif f.default is dataclasses.MISSING:
-                raise ConfigError(
-                    f"{self.path}: missing required key {key!r} in [{section}]"
-                )
-        return settings
+                    raise error(f"{key}: {exc}", section, key) from exc
+
+    for f in _FIELDS:
+        key = _key(f)
+        flag = getattr(args, f.name, None)
+        if isinstance(flag, str):
+            try:
+                flag = f.metadata["parse"](flag)
+            except ValueError as exc:
+                raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from exc
+        if flag is not None:
+            settings[f.name] = flag
+        elif f.name not in settings and f.default is dataclasses.MISSING:
+            raise ConfigError(
+                f"{path}: missing required key {key!r} in [{f.metadata['section']}]"
+            )
+    return settings
 
 
 def _build_specs(settings: dict) -> list[ExperimentSpec]:
@@ -343,9 +337,11 @@ def _print_summary(jobs: list[tuple[ExperimentSpec, list[RunResult]]]) -> None:
 
 
 def cmd_run(args) -> int:
-    config = _ConfigReader(args.config)
-    options = SweepOptions(**config.settings(SweepOptions, args))
-    specs = _build_specs(config.settings(ExperimentSpec, args))
+    settings = _read_settings(args.config, args)
+    options = SweepOptions(
+        *(settings.pop(f.name, f.default) for f in dataclasses.fields(SweepOptions))
+    )
+    specs = _build_specs(settings)
     all_results = run_sweep(specs, options.parallelism)
     jobs = list(zip(specs, all_results))
 

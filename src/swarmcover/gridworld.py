@@ -21,7 +21,6 @@ concurrent experiment runs can safely share nothing but the map.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from importlib import resources
@@ -173,28 +172,27 @@ def parse_map(text: str) -> GridMap:
         raise MapError("start markers must be numbered 1..k without gaps")
     if not (~obstacles).any():
         raise MapError("map has no free cell")
-    _check_connected(obstacles)
     starts = tuple(starts_by_digit[d] for d in sorted(starts_by_digit))
     obstacles.setflags(write=False)
-    return GridMap(rows=rows, cols=cols, obstacles=obstacles, starts=starts)
+    grid = GridMap(rows=rows, cols=cols, obstacles=obstacles, starts=starts)
+    _check_connected(grid)
+    return grid
 
 
-def _check_connected(obstacles: np.ndarray) -> None:
-    """Flood fill from the first free cell; all free cells must be reached."""
-    rows, cols = obstacles.shape
-    free = ~obstacles
-    first = np.argwhere(free)[0]
-    seen = np.zeros_like(free)
-    queue = deque([(int(first[0]), int(first[1]))])
-    seen[first[0], first[1]] = True
-    while queue:
-        r, c = queue.popleft()
-        for dr, dc in ((-1, 0), (0, 1), (1, 0), (0, -1)):
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < rows and 0 <= nc < cols and free[nr, nc] and not seen[nr, nc]:
-                seen[nr, nc] = True
-                queue.append((nr, nc))
-    if seen.sum() != free.sum():
+def _check_connected(grid: GridMap) -> None:
+    """Flood fill from the first free cell over the moves a UAV can make;
+    all free cells must be reached."""
+    free = grid.free_cells()
+    seen = {free[0]}
+    stack = [free[0]]
+    while stack:
+        r, c = stack.pop()
+        for dr, dc in ACTION_DELTAS.values():
+            cell = (r + dr, c + dc)
+            if cell not in seen and grid.is_free(*cell):
+                seen.add(cell)
+                stack.append(cell)
+    if len(seen) != len(free):
         raise MapError("free cells form more than one 4-connected region")
 
 

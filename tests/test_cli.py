@@ -143,6 +143,16 @@ def test_unknown_key_reports_line_number(tmp_path, capsys):
     assert "line 3" in err
     assert "bogus_key" in err
 
+    # Lines configparser reads as a header or an option, however spelled.
+    for text, key in [
+        (f"[run] ; the sweep\nmaps = {map_path}\nbogus = 1\n", "'bogus'"),
+        (f"[run]\nmaps = {map_path}\nepi;sodes = 1\n", "'epi;sodes'"),
+    ]:
+        config = write(tmp_path, "bad.ini", text)
+        assert main(["run", config]) == 1
+        err = capsys.readouterr().err
+        assert f"line 3: unknown key {key}" in err
+
 
 def test_unknown_section_rejected(tmp_path, capsys):
     map_path = write(tmp_path, "tiny.txt", TINY_MAP)
@@ -164,6 +174,16 @@ def test_unknown_section_rejected(tmp_path, capsys):
     assert "line 1" in err
     assert "unknown section [DEFAULT]" in err
 
+    # Section names are case-sensitive and kept with their inner spaces.
+    for text, line, section in [
+        (f"[run]\nmaps = {map_path}\n[RUN]\nepisodes = 1\n", 3, "[RUN]"),
+        (f"[ run ]\nmaps = {map_path}\n", 1, "[ run ]"),
+    ]:
+        config = write(tmp_path, "bad.ini", text)
+        assert main(["run", config]) == 1
+        err = capsys.readouterr().err
+        assert f"line {line}: unknown section {section}" in err
+
 
 def test_bad_value_reports_line_number(tmp_path, capsys):
     map_path = write(tmp_path, "tiny.txt", TINY_MAP)
@@ -174,6 +194,12 @@ def test_bad_value_reports_line_number(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 3" in err
     assert "uavs" in err
+
+    config = write(
+        tmp_path, "bad.ini", f"# uavs = 2\n[run]\nmaps: {map_path}\nUAVS = banana\n"
+    )
+    assert main(["run", config]) == 1
+    assert "line 4: uavs:" in capsys.readouterr().err
 
 
 def test_bad_mode_rejected(tmp_path, capsys):

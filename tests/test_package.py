@@ -5,6 +5,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import swarmcover
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,3 +33,17 @@ def test_demo_and_readme_imports_are_exported():
     names = set().union(*(imported_names(source) for source in sources))
     assert names  # the demos do import from the package
     assert names <= set(swarmcover.__all__)
+
+
+def test_numpy_requirement_has_a_floor_of_two():
+    # densenet.train_step calls np.vecdot, which numpy 2.0 added.
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        dependencies = tomllib.load(handle)["project"]["dependencies"]
+    floors = [
+        re.fullmatch(r"numpy\s*>=\s*(\d+)(?:\.\d+)*", requirement)
+        for requirement in dependencies
+        if requirement.startswith("numpy")
+    ]
+    assert len(floors) == 1 and floors[0], dependencies
+    assert int(floors[0].group(1)) >= 2
