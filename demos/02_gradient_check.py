@@ -13,7 +13,7 @@ import numpy as np
 from swarmcover import forward, init_network, train_step
 
 rng = np.random.default_rng(0)
-net = init_network(12, rng)  # the input size of a 2x2 map
+net = init_network(12, rng)  # the three-plane image of a 2x2 map
 
 observation = rng.normal(0.0, 1.0, 3 * 2 * 2)
 action = 2

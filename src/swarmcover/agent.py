@@ -11,6 +11,10 @@ UAVs in one of two modes:
 
 With a single UAV the two modes build identical state and consume the
 random stream identically, so their runs coincide move for move.
+
+The networks read only the observation entries the map can set
+(``gridworld.live_inputs``); every other entry of the three-plane image is
+0 in every state, so dropping its weights leaves the same function.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .gridworld import (
     Action,
     SwarmState,
     encode_observation,
-    initial_swarm_state,
+    live_inputs,
     transition,
 )
 
@@ -40,7 +44,8 @@ MODES = (LOCAL, GLOBAL)
 
 @dataclass(frozen=True)
 class Experience:
-    """One transition as seen by a single UAV.
+    """One transition as seen by a single UAV. The observations hold the
+    live entries (``SwarmController.live``) of the encoded states.
 
     ``terminal`` is true when the move finished the episode, either by
     completing coverage or by exhausting the step budget.
@@ -83,14 +88,23 @@ class SwarmController:
     Local mode builds one (network, memory) pair per UAV; global mode
     builds a single shared pair. Construction draws initial weights from
     ``rng`` in UAV order, so a fixed seed fixes every parameter.
+
+    Each network is drawn at the width of the whole three-plane image and
+    then keeps only the layer-1 columns of the ``live`` entries, so the
+    random stream and every kept weight are those of a full-width network.
     """
 
     def __init__(self, spec: ExperimentSpec, rng: np.random.Generator) -> None:
         self.spec = spec
+        self.live = live_inputs(spec.grid)
         n_models = spec.n_uavs if spec.mode == LOCAL else 1
-        start = initial_swarm_state(spec.grid, spec.n_uavs)
-        input_size = encode_observation(spec.grid, start).size
-        self.networks = [init_network(input_size, rng) for _ in range(n_models)]
+        image_size = 3 * spec.grid.rows * spec.grid.cols
+        self.networks: list[QNetwork] = []
+        for _ in range(n_models):
+            net = init_network(image_size, rng)
+            # Sliced as soon as drawn, so only one full-width W1 is ever alive.
+            net.layer1.weights = net.layer1.weights.take(self.live, axis=1)
+            self.networks.append(net)
         self.memories = [ReplayMemory(spec.memory_size) for _ in range(n_models)]
 
     def network_for(self, uav: int) -> QNetwork:
@@ -155,22 +169,24 @@ def step_swarm(
     rng: np.random.Generator,
 ) -> tuple[SwarmState, list[Experience], bool]:
     """Advance the swarm one time step on the spec's map: each UAV in index
-    order encodes its observation, picks an action, moves, records the
-    experience, and trains from its memory. Stops mid-step once coverage
-    is complete or the spec's episode budget runs out; UAVs after the
-    finishing move do not act.
+    order observes the live entries of the state, picks an action, moves,
+    records the experience, and trains from its memory. Stops mid-step once
+    coverage is complete or the spec's episode budget runs out; UAVs after
+    the finishing move do not act. Each state is encoded once: the state a
+    move leaves is both the mover's next observation and the next UAV's
+    observation.
     """
     spec = controller.spec
     grid = spec.grid
     experiences: list[Experience] = []
     done = False
+    observation = encode_observation(grid, state)[controller.live]
     for uav in range(state.n_uavs):
         network, memory = controller.network_for(uav), controller.memory_for(uav)
-        observation = encode_observation(grid, state)
         qvalues = forward(network, observation)
         action = select_action(qvalues, epsilon, rng)
         state, outcome = transition(grid, state, uav, action, spec.allow_shared_cells)
-        next_observation = encode_observation(grid, state)
+        next_observation = encode_observation(grid, state)[controller.live]
         done = spec.episode_over(state)
         experience = Experience(observation, action, outcome.reward, next_observation, done)
         experiences.append(experience)
@@ -178,4 +194,5 @@ def step_swarm(
         train_from_memory(memory, network, spec, rng)
         if done:
             break
+        observation = next_observation
     return state, experiences, done

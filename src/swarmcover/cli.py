@@ -190,23 +190,31 @@ def main(argv=None) -> int:
 
 def _line(parser, text: str, section: str, key: str | None = None) -> int | None:
     """Number of the line that opens [section], or that sets ``key`` in it,
-    as configparser's own header and option patterns read it (indented
-    continuation lines aside)."""
-    current = None
+    read by configparser's own rules: its header and option patterns, and a
+    line indented deeper than the option line above it continues that
+    option's value."""
+    current = option = None
+    indent = 0
     # read_string numbers the lines it splits at "\n" only.
     for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
-        if stripped.startswith(("#", ";")):
+        if not stripped or stripped.startswith(("#", ";")):
             continue
+        level = parser.NONSPACECRE.search(line).start()
+        if option is not None and level > indent:
+            continue
+        indent = level
         header = parser.SECTCRE.match(stripped)
         if header:
-            current = header.group("header")
+            current, option = header.group("header"), None
             if key is None and current == section:
                 return lineno
-        elif key is not None and current == section:
-            option = parser.OPTCRE.match(stripped)
-            if option and parser.optionxform(option.group("option").rstrip()) == key:
-                return lineno
+        else:
+            match = parser.OPTCRE.match(stripped)
+            if match:
+                option = parser.optionxform(match.group("option").rstrip())
+                if current == section and option == key:
+                    return lineno
     return None
 
 
@@ -242,11 +250,14 @@ def _read_settings(path: str, args) -> dict:
             f = fields.get((section, key))
             if f is None:
                 raise error(f"unknown key {key!r} in [{section}]", section, key)
-            if raw.strip():
-                try:
-                    settings[f.name] = f.metadata["parse"](raw.strip())
-                except ValueError as exc:
-                    raise error(f"{key}: {exc}", section, key) from exc
+            if not raw.strip():
+                if f.default is dataclasses.MISSING:
+                    raise error(f"{key}: empty value", section, key)
+                continue  # an empty value keeps the default
+            try:
+                settings[f.name] = f.metadata["parse"](raw.strip())
+            except ValueError as exc:
+                raise error(f"{key}: {exc}", section, key) from exc
 
     for f in _FIELDS:
         key = _key(f)

@@ -88,10 +88,10 @@ def _openblas_thread_calls():
 def one_blas_thread():
     """Run the block with OpenBLAS on one thread, then restore its count.
 
-    A replay pass multiplies 32x75 by 75x1013 matrices. A second BLAS
-    thread does not speed that up, and when the other cores are busy, as
-    with parallel runs, its waiting makes training several times slower.
-    Without a bundled OpenBLAS this does nothing.
+    A replay pass on grove_5x5 multiplies 32x46 by 46x1013 matrices. A
+    second BLAS thread does not speed that up, and when the other cores are
+    busy, as with parallel runs, its waiting makes training several times
+    slower. Without a bundled OpenBLAS this does nothing.
     """
     calls = _openblas_thread_calls()
     if calls is None:

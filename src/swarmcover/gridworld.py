@@ -302,11 +302,12 @@ def transition(
 
 
 def encode_observation(grid: GridMap, state: SwarmState) -> np.ndarray:
-    """Flatten the map into the network input vector.
+    """Flatten the map into an image of the state.
 
     Three rows x cols channels, concatenated row-major: the obstacle map,
     the visited mask, and the cells currently holding any UAV. Length is
-    always 3 * rows * cols.
+    always 3 * rows * cols. The Q-networks read its ``live_inputs``
+    entries only.
     """
     uav_channel = np.zeros((grid.rows, grid.cols))
     for r, c in state.positions:
@@ -318,6 +319,16 @@ def encode_observation(grid: GridMap, state: SwarmState) -> np.ndarray:
             uav_channel.ravel(),
         ]
     )
+
+
+def live_inputs(grid: GridMap) -> np.ndarray:
+    """Indices, in image order, of the ``encode_observation`` entries that a
+    state of ``grid`` can set: the obstacle plane at obstacle cells (always
+    1), and the visited and UAV planes at free cells. Every other entry is 0
+    in every state, so a network that reads only these entries computes the
+    same function as one that reads the whole image."""
+    obstacles = grid.obstacles.ravel()
+    return np.flatnonzero(np.concatenate([obstacles, ~obstacles, ~obstacles]))
 
 
 def is_coverage_complete(grid: GridMap, state: SwarmState) -> bool:

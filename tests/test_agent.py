@@ -14,7 +14,7 @@ from swarmcover.agent import (
     step_swarm,
     train_from_memory,
 )
-from swarmcover.densenet import forward
+from swarmcover.densenet import forward, init_network
 from swarmcover.experiment import ExperimentSpec
 from swarmcover.gridworld import (
     Action,
@@ -28,9 +28,9 @@ def make_spec(grid, n_uavs=1, mode=LOCAL, **kwargs):
     return ExperimentSpec(map_id="test", grid=grid, n_uavs=n_uavs, mode=mode, **kwargs)
 
 
-def make_experience(marker=0.0, terminal=False, n=4):
-    obs = np.zeros(3 * n)
-    nxt = np.ones(3 * n)
+def make_experience(marker=0.0, terminal=False, size=12):
+    obs = np.zeros(size)
+    nxt = np.ones(size)
     return Experience(obs, Action.NORTH, float(marker), nxt, terminal)
 
 
@@ -174,7 +174,7 @@ def test_local_mode_private_models():
     assert len(controller.memories) == 3
     for uav in range(3):
         for _ in range(3):
-            controller.memory_for(uav).append(make_experience(n=9))
+            controller.memory_for(uav).append(make_experience(size=27))
     assert [len(m) for m in controller.memories] == [3, 3, 3]
 
 
@@ -185,7 +185,7 @@ def test_global_mode_shared_model_interleaves():
     assert controller.network_for(0) is controller.network_for(1)
     for step in range(4):
         for uav in range(2):
-            controller.memory_for(uav).append(make_experience(marker=uav, n=9))
+            controller.memory_for(uav).append(make_experience(marker=uav, size=27))
     assert [e.reward for e in controller.memories[0]] == [0, 1, 0, 1, 0, 1, 0, 1]
 
 
@@ -193,7 +193,7 @@ def test_record_respects_capacity():
     grid = parse_map("...\n...\n...")
     controller, _ = zeroed_controller(grid, 1, LOCAL, memory_size=60)
     for i in range(61):
-        controller.memory_for(0).append(make_experience(marker=i, n=9))
+        controller.memory_for(0).append(make_experience(marker=i, size=27))
     assert len(controller.memory_for(0)) == 60
     assert next(iter(controller.memory_for(0))).reward == 1.0
 
@@ -205,7 +205,8 @@ def test_train_from_memory_single_experience():
     grid = parse_map("..\n..")
     controller, rng = zeroed_controller(grid, 1, LOCAL)
     net = controller.networks[0]
-    exp = Experience(np.zeros(12), Action.EAST, 5.0, np.ones(12), False)
+    size = controller.live.size
+    exp = Experience(np.zeros(size), Action.EAST, 5.0, np.ones(size), False)
     memory = controller.memory_for(0)
     memory.append(exp)
     b2_before = net.layer2.biases.copy()
@@ -224,7 +225,7 @@ def test_train_from_memory_zero_learning_rate():
     net = controller.networks[0]
     memory = controller.memory_for(0)
     for i in range(10):
-        memory.append(make_experience(marker=i))
+        memory.append(make_experience(marker=i, size=controller.live.size))
     w1 = net.layer1.weights.copy()
     b2 = net.layer2.biases.copy()
     loss = train_from_memory(memory, net, controller.spec, rng)
@@ -239,13 +240,14 @@ def test_train_from_memory_deterministic():
         controller = SwarmController(make_spec(parse_map("..\n..")), rng)
         memory = controller.memory_for(0)
         exp_rng = np.random.default_rng(99)
+        size = controller.live.size
         for i in range(30):
             memory.append(
                 Experience(
-                    exp_rng.integers(0, 2, 12).astype(float),
+                    exp_rng.integers(0, 2, size).astype(float),
                     Action(int(exp_rng.integers(4))),
                     float(exp_rng.normal()),
-                    exp_rng.integers(0, 2, 12).astype(float),
+                    exp_rng.integers(0, 2, size).astype(float),
                     False,
                 )
             )
@@ -315,7 +317,7 @@ def test_step_swarm_local_isolation():
     other_w1 = controller.networks[1].layer1.weights.copy()
     state = initial_swarm_state(grid, 2)
     # Drive only UAV 0's pipeline: record into its memory and train its net.
-    obs = np.zeros(48)
+    obs = np.zeros(controller.live.size)
     for i in range(20):
         controller.memory_for(0).append(Experience(obs, Action.EAST, 1.0 + i, obs, False))
     train_from_memory(
@@ -365,7 +367,7 @@ def test_forward_consistency_through_controller():
     grid = parse_map("..\n..")
     rng = np.random.default_rng(8)
     controller = SwarmController(make_spec(grid, 1, GLOBAL), rng)
-    obs = np.zeros(12)
+    obs = np.zeros(controller.live.size)
     before = forward(controller.network_for(0), obs).copy()
     controller.memory_for(0).append(Experience(obs, Action.NORTH, 50.0, obs, True))
     train_from_memory(
@@ -373,3 +375,59 @@ def test_forward_consistency_through_controller():
     )
     after = forward(controller.network_for(0), obs)
     assert not np.array_equal(before, after)
+
+
+def test_narrow_network_trains_like_the_full_width_one():
+    # The controller draws a full-width network and keeps its live columns,
+    # so the same seed gives the same kept weights and the same stream.
+    grid = load_bundled_map("grove_5x5")
+    spec = make_spec(grid)
+    narrow_rng, full_rng = np.random.default_rng(4), np.random.default_rng(4)
+    controller = SwarmController(spec, narrow_rng)
+    full = init_network(3 * grid.rows * grid.cols, full_rng)
+    narrow, live = controller.networks[0], controller.live
+    assert narrow.layer1.weights.flags.c_contiguous
+    assert np.array_equal(narrow.layer1.weights, full.layer1.weights[:, live])
+    assert narrow_rng.random() == full_rng.random()
+    dead_columns = np.delete(full.layer1.weights, live, axis=1)
+
+    # 150 moves of a real episode, then the same replay passes on both: the
+    # full one sees each observation as the image it was cut from.
+    episode_rng = np.random.default_rng(7)
+    explorer = SwarmController(spec, episode_rng)
+    state, experiences = initial_swarm_state(grid, 1), []
+    for _ in range(150):
+        state, new, done = step_swarm(state, explorer, 0.5, episode_rng)
+        experiences += new
+        if done:
+            break
+
+    def image(observation):
+        full_image = np.zeros(3 * grid.rows * grid.cols)
+        full_image[live] = observation
+        return full_image
+
+    memories = ReplayMemory(spec.memory_size), ReplayMemory(spec.memory_size)
+    for exp in experiences:
+        memories[0].append(exp)
+        memories[1].append(
+            Experience(
+                image(exp.observation), exp.action, exp.reward,
+                image(exp.next_observation), exp.terminal,
+            )
+        )
+        train_from_memory(memories[0], narrow, spec, narrow_rng)
+        train_from_memory(memories[1], full, spec, full_rng)
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=1e-9, atol=1e-9)
+
+    assert all(
+        close(forward(narrow, exp.observation), forward(full, image(exp.observation)))
+        for exp in experiences
+    )
+    assert close(narrow.layer1.weights, full.layer1.weights[:, live])
+    assert close(narrow.layer1.biases, full.layer1.biases)
+    assert close(narrow.layer2.weights, full.layer2.weights)
+    assert close(narrow.layer2.biases, full.layer2.biases)
+    assert np.array_equal(np.delete(full.layer1.weights, live, axis=1), dead_columns)

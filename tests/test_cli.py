@@ -201,6 +201,29 @@ def test_bad_value_reports_line_number(tmp_path, capsys):
     assert main(["run", config]) == 1
     assert "line 4: uavs:" in capsys.readouterr().err
 
+    # A line indented deeper than its option line continues that value,
+    # whatever it looks like; blank and comment lines do not end it.
+    for text, line in [
+        (f"[run]\nmaps = {map_path},\n  uavs = 2\nuavs = x\n", 4),
+        (f"[run]\nmaps = {map_path}\n\n  # note\n  [training]\nuavs = x\n", 6),
+    ]:
+        config = write(tmp_path, "bad.ini", text)
+        assert main(["run", config]) == 1
+        assert f"line {line}: uavs:" in capsys.readouterr().err
+
+
+def test_empty_required_value_reports_line_number(tmp_path, capsys):
+    config = write(tmp_path, "bad.ini", "[run]\nmaps =\n")
+    assert main(["run", config]) == 1
+    assert "line 2: maps: empty value" in capsys.readouterr().err
+
+    # An empty value of a key with a default keeps the default.
+    map_path = write(tmp_path, "tiny.txt", TINY_MAP)
+    text = f"[run]\nmaps = {map_path}\nseeds = 1\nepisodes =\nuavs = x\n"
+    config = write(tmp_path, "default.ini", text)
+    assert main(["run", config]) == 1
+    assert "line 5: uavs:" in capsys.readouterr().err
+
 
 def test_bad_mode_rejected(tmp_path, capsys):
     config, _ = tiny_config(tmp_path, extra_run="modes = hybrid\n")

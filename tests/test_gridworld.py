@@ -16,6 +16,7 @@ from swarmcover.gridworld import (
     encode_observation,
     initial_swarm_state,
     is_coverage_complete,
+    live_inputs,
     load_bundled_map,
     new_cell_reward,
     parse_map,
@@ -289,6 +290,33 @@ def test_encoding_uav_on_visited_cell():
     obs = encode_observation(grid, state)
     assert obs[4:8].tolist() == [1, 1, 0, 1]
     assert obs[8:12].tolist() == [0, 0, 0, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(walks())
+def test_live_inputs_hold_every_entry_a_state_can_set(walk):
+    grid, n_uavs, shared, moves = walk
+    live = live_inputs(grid)
+    assert (np.diff(live) > 0).all()  # image order
+    dead = np.ones(3 * grid.rows * grid.cols, dtype=bool)
+    dead[live] = False
+    live_obstacles = live[live < grid.rows * grid.cols]
+    state = initial_swarm_state(grid, n_uavs)
+    for step in range(len(moves) + 1):
+        if step:
+            state, _ = transition(grid, state, *moves[step - 1], shared)
+        image = encode_observation(grid, state)
+        assert not image[dead].any()
+        assert (image[live_obstacles] == 1.0).all()
+
+
+def test_live_inputs_examples():
+    # Obstacle cells in the first plane, free cells in the other two.
+    grid = parse_map(".#\n..")
+    assert live_inputs(grid).tolist() == [1, 4, 6, 7, 8, 10, 11]
+    grove = load_bundled_map("grove_5x5")
+    assert live_inputs(grove).size == 75 - 29
+    assert live_inputs(load_bundled_map("block_9x9")).size == 243 - 102
 
 
 def test_encoding_shape_for_bundled_maps():
