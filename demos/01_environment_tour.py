@@ -10,7 +10,7 @@ import numpy as np
 
 from swarmcover import (
     Action,
-    MoveKind,
+    draw_state,
     encode_observation,
     initial_swarm_state,
     is_coverage_complete,
@@ -24,26 +24,8 @@ from swarmcover import (
 grid = parse_map("1..\n.#.\n...\n")
 state = initial_swarm_state(grid, n_uavs=1)
 
-
-def picture(state):
-    lines = []
-    for r in range(grid.rows):
-        chars = []
-        for c in range(grid.cols):
-            if grid.obstacles[r, c]:
-                chars.append("#")
-            elif (r, c) in state.positions:
-                chars.append(str(state.positions.index((r, c)) + 1))
-            elif state.visited[r, c]:
-                chars.append("▪")
-            else:
-                chars.append("·")
-        lines.append("".join(chars))
-    return "\n".join(lines)
-
-
 print("start (the UAV's own cell counts as covered from step zero):")
-print(picture(state))
+print(draw_state(grid, state))
 print("unvisited free cells:", unvisited_free_count(grid, state))
 
 # Moving east discovers a fresh cell.  The payoff grows as fewer cells
@@ -77,4 +59,4 @@ while not is_coverage_complete(grid, state):
 
 print("\nafter a random walk to full coverage "
       f"({state.global_step} actions for 8 cells):")
-print(picture(state))
+print(draw_state(grid, state))

@@ -22,7 +22,7 @@ from .experiment import (
 from .gridworld import (
     Action,
     MapError,
-    MoveKind,
+    draw_state,
     encode_observation,
     initial_swarm_state,
     is_coverage_complete,
@@ -44,10 +44,10 @@ __all__ = [
     "GLOBAL",
     "LOCAL",
     "MapError",
-    "MoveKind",
     "NumericalError",
     "__version__",
     "aggregate",
+    "draw_state",
     "encode_observation",
     "forward",
     "init_network",

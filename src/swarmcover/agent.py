@@ -172,9 +172,10 @@ def step_swarm(
     order observes the live entries of the state, picks an action, moves,
     records the experience, and trains from its memory. Stops mid-step once
     coverage is complete or the spec's episode budget runs out; UAVs after
-    the finishing move do not act. Each state is encoded once: the state a
-    move leaves is both the mover's next observation and the next UAV's
-    observation.
+    the finishing move do not act. Within a step each state is encoded
+    once: the state a move leaves is both the mover's next observation and
+    the next UAV's observation. The state the step ends in is encoded again
+    by the next call.
     """
     spec = controller.spec
     grid = spec.grid

@@ -42,7 +42,9 @@ from .experiment import (
 )
 from .gridworld import (
     BUNDLED_MAP_NOTES,
+    UNVISITED_CHAR,  # perfbench/run.py reads it as cli.UNVISITED_CHAR
     MapError,
+    draw_state,
     initial_swarm_state,
     is_coverage_complete,
     load_bundled_map,
@@ -53,9 +55,6 @@ from .gridworld import (
 
 OUTPUT_DIR_ENV = "SWARMCOVER_OUTPUT_DIR"
 TRACE_SUFFIX = ".traces.json"
-
-UNVISITED_CHAR = "·"  # ·
-VISITED_CHAR = "▪"  # ▪
 
 # Every config key is a field of ExperimentSpec or SweepOptions; the field
 # metadata gives its section, key name, parser and help text.
@@ -353,10 +352,9 @@ def cmd_run(args) -> int:
         *(settings.pop(f.name, f.default) for f in dataclasses.fields(SweepOptions))
     )
     specs = _build_specs(settings)
-    all_results = run_sweep(specs, options.parallelism)
-    jobs = list(zip(specs, all_results))
-
     output_path = _resolve_output_path(options.output)
+    jobs = list(zip(specs, run_sweep(specs, options.parallelism)))
+
     rows = []
     for spec, results in jobs:
         rows.extend(results_rows(spec, results))
@@ -393,8 +391,8 @@ def cmd_run(args) -> int:
 
 
 def _render_entry(entry: dict) -> str:
-    """Replay a trace entry and draw the final picture: '#' obstacles,
-    digits for final UAV positions, '▪' visited, '·' unvisited.
+    """Replay a trace entry and draw its final state with
+    ``gridworld.draw_state``, which sets the glyphs.
 
     Raises RuntimeFailure unless the replay is the recorded best episode:
     exactly ``total_actions`` moves, the last of which completes coverage.
@@ -414,23 +412,7 @@ def _render_entry(entry: dict) -> str:
         state, _ = transition(grid, state, uav, action, entry["allow_shared_cells"])
     if not is_coverage_complete(grid, state):
         raise RuntimeFailure("trace does not cover the map when replayed")
-    position_digit = {}
-    for index in reversed(range(state.n_uavs)):
-        position_digit[state.positions[index]] = str(index + 1)
-    lines = []
-    for r in range(grid.rows):
-        chars = []
-        for c in range(grid.cols):
-            if grid.obstacles[r, c]:
-                chars.append("#")
-            elif (r, c) in position_digit:
-                chars.append(position_digit[(r, c)])
-            elif state.visited[r, c]:
-                chars.append(VISITED_CHAR)
-            else:
-                chars.append(UNVISITED_CHAR)
-        lines.append("".join(chars))
-    return "\n".join(lines)
+    return draw_state(grid, state)
 
 
 def cmd_render(args) -> int:

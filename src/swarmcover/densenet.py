@@ -67,21 +67,34 @@ def init_network(input_size: int, rng: np.random.Generator) -> QNetwork:
     )
 
 
+_NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+
+
+def _openblas_functions(*names: str) -> list | None:
+    """The functions ``names`` of the OpenBLAS that numpy's wheel bundles,
+    or None when numpy runs on another BLAS. Builds prefix the symbols with
+    ``scipy_openblas_`` or ``openblas_``, and suffix them with ``64_`` when
+    they use 64-bit indices; the first form that has every name is used."""
+    for lib_path in sorted(_NUMPY_LIBS.glob("*openblas*")):
+        lib = ctypes.CDLL(str(lib_path))
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                found = [getattr(lib, f"{prefix}{name}{suffix}", None) for name in names]
+                if None not in found:
+                    return found
+    return None
+
+
 @functools.cache
 def _openblas_thread_calls():
-    """The get/set thread-count functions of the OpenBLAS that numpy's
-    wheel bundles, or None when numpy runs on another BLAS."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib_path in sorted(libs.glob("*openblas*")):
-        lib = ctypes.CDLL(str(lib_path))
-        for name in ("scipy_openblas_{}64_", "openblas_{}"):
-            get = getattr(lib, name.format("get_num_threads"), None)
-            set_ = getattr(lib, name.format("set_num_threads"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
+    """The get/set thread-count functions of numpy's bundled OpenBLAS, or
+    None."""
+    calls = _openblas_functions("get_num_threads", "set_num_threads")
+    if calls is not None:
+        get, set_ = calls
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+    return calls
 
 
 @contextlib.contextmanager

@@ -28,6 +28,7 @@ import numpy as np
 from .agent import LOCAL, MODES, SwarmController, step_swarm
 from .densenet import one_blas_thread
 from .gridworld import (
+    MAX_UAVS,
     GridMap,
     SwarmState,
     initial_swarm_state,
@@ -36,7 +37,6 @@ from .gridworld import (
 )
 
 STEP_BUDGET_PER_FREE_CELL = 100
-MAX_UAVS = 9
 
 CSV_HEADER = (
     "map_id",
@@ -127,7 +127,8 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = _run((1, 2, 3, 4, 5), _ints, "integer seeds", flag=True)
     max_episodes: int = _run(30, int, "episodes per run", key="episodes", flag=True)
     step_budget: int | None = _run(
-        None, int, "per-episode cap on total swarm actions (default: 100 x free cells)"
+        None, int, "per-episode cap on total swarm actions "
+        f"(default: {STEP_BUDGET_PER_FREE_CELL} x free cells)",
     )
     epsilon: float = _training(0.49, float, "initial exploration rate")
     epsilon_decay: float = _training(0.93, float, "per-episode decay factor")
@@ -184,7 +185,8 @@ class ExperimentSpec:
     @property
     def episode_budget(self) -> int:
         """Per-episode cap on total swarm actions standing in for a maximum
-        flight time: ``step_budget``, or 100 actions per free cell."""
+        flight time: ``step_budget``, or ``STEP_BUDGET_PER_FREE_CELL``
+        actions per free cell."""
         if self.step_budget is not None:
             return self.step_budget
         return STEP_BUDGET_PER_FREE_CELL * self.grid.free_count

@@ -2,8 +2,9 @@
 
 Maps are small rectangular grids of free and obstacle cells, loaded from
 text files ('.' free, '#' obstacle, digits 1-9 mark optional start cells).
-A swarm of UAVs moves one cell at a time (north/east/south/west) and the
-task is to visit every free cell of the map.
+A swarm of at most nine UAVs, drawn as those digits by ``draw_state``,
+moves one cell at a time (north/east/south/west) and the task is to visit
+every free cell of the map.
 
 Reward per move:
 - entering an unvisited free cell: ``NEW_CELL_BASE_REWARD`` scaled up as
@@ -34,6 +35,9 @@ BLOCKED_REWARD = -45.44
 FREE_CHAR = "."
 OBSTACLE_CHAR = "#"
 START_CHARS = "123456789"
+VISITED_CHAR = "▪"
+UNVISITED_CHAR = "·"
+MAX_UAVS = len(START_CHARS)
 
 
 class MapError(ValueError):
@@ -103,17 +107,10 @@ class GridMap:
 
     def to_text(self) -> str:
         """Serialize back to the map file format (LF-terminated lines)."""
-        start_chars = {pos: str(i + 1) for i, pos in enumerate(self.starts)}
-        lines = []
-        for r in range(self.rows):
-            row_chars = []
-            for c in range(self.cols):
-                if self.obstacles[r, c]:
-                    row_chars.append(OBSTACLE_CHAR)
-                else:
-                    row_chars.append(start_chars.get((r, c), FREE_CHAR))
-            lines.append("".join(row_chars))
-        return "\n".join(lines) + "\n"
+        cells = np.where(self.obstacles, OBSTACLE_CHAR, FREE_CHAR)
+        for digit, position in zip(START_CHARS, self.starts):
+            cells[position] = digit
+        return "".join("".join(row) + "\n" for row in cells)
 
 
 @dataclass(frozen=True)
@@ -334,6 +331,22 @@ def live_inputs(grid: GridMap) -> np.ndarray:
 def is_coverage_complete(grid: GridMap, state: SwarmState) -> bool:
     """True once every free cell has been visited (obstacles never count)."""
     return bool(np.all(state.visited | grid.obstacles))
+
+
+def draw_state(grid: GridMap, state: SwarmState) -> str:
+    """Picture of a swarm state, one line per map row, with no final
+    newline: obstacles as in a map file, UAV i as the digit
+    ``START_CHARS[i]`` (the lowest index on a shared cell), other visited
+    cells as ``VISITED_CHAR`` and unvisited ones as ``UNVISITED_CHAR``."""
+    if state.n_uavs > MAX_UAVS:
+        raise ValueError(
+            f"cannot draw {state.n_uavs} UAVs: each is one digit, so at most {MAX_UAVS}"
+        )
+    cells = np.where(state.visited, VISITED_CHAR, UNVISITED_CHAR)
+    cells[grid.obstacles] = OBSTACLE_CHAR
+    for index in reversed(range(state.n_uavs)):
+        cells[state.positions[index]] = START_CHARS[index]
+    return "\n".join("".join(row) for row in cells)
 
 
 # Bundled maps, one per supported size, each with a distinct obstacle

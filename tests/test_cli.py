@@ -406,6 +406,22 @@ def test_render_refuses_trace_that_does_not_replay(tmp_path, capsys, edit, messa
     assert message in capsys.readouterr().err
 
 
+def test_render_refuses_more_uavs_than_digits(tmp_path, capsys):
+    # Ten UAVs fill an open 4x3 map but for two cells, which UAV 10 covers.
+    entry = {
+        "map_id": "open_4x3", "n_uavs": 10, "mode": "local", "seed": 1,
+        "map": "...\n...\n...\n...\n", "allow_shared_cells": False,
+        "best_episode": 0, "total_actions": 2, "moves": [[9, 1], [9, 1]],
+    }
+    write(tmp_path, "results.csv.traces.json", json.dumps({"traces": [entry]}))
+    argv = ["render", str(tmp_path / "results.csv"), "--map", "open_4x3", "--seed", "1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: malformed trace sidecar")
+    assert "cannot draw 10 UAVs" in err
+
+
 @pytest.mark.parametrize("text", ['{"traces": [', "{}", "[]", '{"traces": 5}'])
 def test_render_refuses_malformed_sidecar(tmp_path, capsys, text):
     csv_path = str(tmp_path / "results.csv")
@@ -414,6 +430,22 @@ def test_render_refuses_malformed_sidecar(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("error: malformed trace sidecar")
     assert "results.csv.traces.json" in err
+
+
+def test_unusable_output_path_fails_before_training(tmp_path, monkeypatch, capsys):
+    config, _ = tiny_config(tmp_path)
+    write(tmp_path, "blocker", "")  # a file where the output directory should be
+    trained = []
+    def run_sweep(specs, parallelism):
+        trained.append(specs)
+        return [[] for _ in specs]
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    output = str(tmp_path / "blocker" / "results.csv")
+    assert main(["run", config, "--output", output]) == 2
+    assert trained == []
+    assert "blocker" in capsys.readouterr().err
 
 
 # --- atomic output ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Network tests; the finite-difference gradient oracle is the anchor."""
 
 import copy
+import ctypes
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from swarmcover import densenet
 from swarmcover.agent import bellman_target
 from swarmcover.densenet import (
     HIDDEN_UNITS,
@@ -403,6 +405,30 @@ def test_one_blas_thread_sets_and_restores_the_count():
     with one_blas_thread():
         assert get_threads() == 1
     assert get_threads() == before
+
+
+def test_openblas_lookup_finds_32_bit_index_names(tmp_path, monkeypatch):
+    """An OpenBLAS built with 32-bit indices exports its functions without
+    the 64_ suffix, as scipy_openblas_set_num_threads."""
+    (tmp_path / "libscipy_openblas-stand-in.so").touch()
+
+    class Function:
+        """Stands in for a ctypes function pointer."""
+
+    class Library:
+        """Stands in for ctypes.CDLL of such a build."""
+
+        def __init__(self, path):
+            self.scipy_openblas_get_num_threads = Function()
+            self.scipy_openblas_set_num_threads = Function()
+
+    monkeypatch.setattr(densenet, "_NUMPY_LIBS", tmp_path)
+    monkeypatch.setattr(ctypes, "CDLL", Library)
+    calls = _openblas_thread_calls.__wrapped__()
+    assert calls is not None
+    get_threads, set_threads = calls
+    assert get_threads.restype is ctypes.c_int
+    assert set_threads.argtypes == [ctypes.c_int]
 
 
 # --- gradient oracle ---------------------------------------------------------

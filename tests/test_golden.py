@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from swarmcover.densenet import _openblas_functions
 from swarmcover.experiment import (
     ExperimentSpec,
     results_rows,
@@ -102,15 +103,11 @@ def golden_digests() -> dict:
 def _openblas_config() -> str:
     """The OpenBLAS config string; read from the loaded library when
     possible, since with DYNAMIC_ARCH it then names the core in use."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib_path in sorted(libs.glob("*openblas*")):
-        lib = ctypes.CDLL(str(lib_path))
-        for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
-                     "openblas_get_config64_", "openblas_get_config"):
-            get_config = getattr(lib, name, None)
-            if get_config is not None:
-                get_config.argtypes, get_config.restype = [], ctypes.c_char_p
-                return get_config().decode()
+    found = _openblas_functions("get_config")
+    if found is not None:
+        (get_config,) = found
+        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+        return get_config().decode()
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"{blas.get('openblas configuration', blas.get('name'))} (build time)"
 

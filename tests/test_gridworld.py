@@ -1,5 +1,7 @@
 """Environment tests: map parsing, moves, rewards, encoding."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,9 +12,12 @@ from swarmcover.gridworld import (
     BUNDLED_MAP_NOTES,
     NEW_CELL_BASE_REWARD,
     VISITED_CELL_REWARD,
+    MAX_UAVS,
+    START_CHARS,
     Action,
     MapError,
     MoveKind,
+    draw_state,
     encode_observation,
     initial_swarm_state,
     is_coverage_complete,
@@ -377,6 +382,32 @@ def test_initial_state_pre_visits_starts():
     assert int(np.count_nonzero(state.visited)) == 2
     assert state.per_uav_actions == (0, 0)
     assert state.global_step == 0
+
+
+# --- drawing -----------------------------------------------------------------
+
+
+def test_draw_state_glyphs():
+    grid = parse_map("..#\n...\n")
+    state = initial_swarm_state(grid, 2)  # UAV 1 at (0, 0), UAV 2 at (0, 1)
+    assert draw_state(grid, state) == "12#\n···"
+    # UAV 2 joins UAV 1: the shared cell shows the lower digit, and the
+    # cell UAV 2 left stays visited.
+    state, _ = transition(grid, state, 1, Action.WEST, allow_shared_cells=True)
+    assert draw_state(grid, state) == "1▪#\n···"
+    state, _ = transition(grid, state, 1, Action.SOUTH)
+    assert draw_state(grid, state) == "1▪#\n2··"
+    # Obstacles win over the visited mask.
+    everywhere = replace(state, visited=np.ones((2, 3), dtype=bool))
+    assert draw_state(grid, everywhere) == "1▪#\n2▪▪"
+
+
+def test_draw_state_refuses_more_uavs_than_digits():
+    assert MAX_UAVS == len(START_CHARS) == 9
+    grid = parse_map("...\n" * 4)
+    draw_state(grid, initial_swarm_state(grid, MAX_UAVS))
+    with pytest.raises(ValueError, match="cannot draw 10 UAVs"):
+        draw_state(grid, initial_swarm_state(grid, MAX_UAVS + 1))
 
 
 # --- bundled maps ------------------------------------------------------------

@@ -35,6 +35,14 @@ def test_demo_and_readme_imports_are_exported():
     assert names <= set(swarmcover.__all__)
 
 
+def test_demos_use_every_name_they_import():
+    for path in sorted(ROOT.glob("demos/*.py")):
+        source = path.read_text(encoding="utf-8")
+        used = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+        unused = imported_names(source) - used
+        assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
 def test_numpy_requirement_has_a_floor_of_two():
     # densenet.train_step calls np.vecdot, which numpy 2.0 added.
     tomllib = pytest.importorskip("tomllib")
