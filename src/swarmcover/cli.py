@@ -57,7 +57,7 @@ OUTPUT_DIR_ENV = "SWARMCOVER_OUTPUT_DIR"
 TRACE_SUFFIX = ".traces.json"
 
 # Every config key is a field of ExperimentSpec or SweepOptions; the field
-# metadata gives its section, key name, parser and help text.
+# metadata gives its section, key name, parser, rule and help text.
 _FIELDS = [
     f
     for f in dataclasses.fields(ExperimentSpec) + dataclasses.fields(SweepOptions)
@@ -217,6 +217,20 @@ def _line(parser, text: str, section: str, key: str | None = None) -> int | None
     return None
 
 
+def _parse(f: dataclasses.Field, raw: str):
+    """The value that the text ``raw`` sets field ``f`` to; raises ValueError
+    unless each item passes the field's rule and no sweep item repeats."""
+    value = f.metadata["parse"](raw)
+    items = value if f.metadata["sweep"] else (value,)
+    rule = f.metadata["rule"]
+    for i, item in enumerate(items):
+        if rule is not None and not rule[0](item):
+            raise ValueError(f"{rule[1]}, got {item!r}")
+        if item in items[:i]:
+            raise ValueError(f"repeats {item!r}")
+    return value
+
+
 def _read_settings(path: str, args) -> dict:
     """Field name -> value of every key that the config file at ``path`` or
     a command line flag sets; a flag overrides the file. The file is read in
@@ -254,7 +268,7 @@ def _read_settings(path: str, args) -> dict:
                     raise error(f"{key}: empty value", section, key)
                 continue  # an empty value keeps the default
             try:
-                settings[f.name] = f.metadata["parse"](raw.strip())
+                settings[f.name] = _parse(f, raw.strip())
             except ValueError as exc:
                 raise error(f"{key}: {exc}", section, key) from exc
 
@@ -263,7 +277,7 @@ def _read_settings(path: str, args) -> dict:
         flag = getattr(args, f.name, None)
         if isinstance(flag, str):
             try:
-                flag = f.metadata["parse"](flag)
+                flag = _parse(f, flag)
             except ValueError as exc:
                 raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from exc
         if flag is not None:
@@ -293,14 +307,21 @@ def _build_specs(settings: dict) -> list[ExperimentSpec]:
     return specs
 
 
-def _resolve_output_path(output: str) -> str:
+def _resolve_output_paths(output: str, log_traces: bool) -> list[str]:
+    """The files a sweep writes: the results CSV at ``output`` and, with
+    ``log_traces``, its trace sidecar. Makes their directory and refuses a
+    path that names a directory, so that either fails before training."""
     base_dir = os.environ.get(OUTPUT_DIR_ENV)
     if base_dir and not os.path.isabs(output):
         output = os.path.join(base_dir, output)
     parent = os.path.dirname(output)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    return output
+    paths = [output] + ([output + TRACE_SUFFIX] if log_traces else [])
+    for path in paths:
+        if os.path.isdir(path):
+            raise RuntimeFailure(f"output path {path} is a directory")
+    return paths
 
 
 def _temp_path(path: str) -> str:
@@ -352,18 +373,17 @@ def cmd_run(args) -> int:
         *(settings.pop(f.name, f.default) for f in dataclasses.fields(SweepOptions))
     )
     specs = _build_specs(settings)
-    output_path = _resolve_output_path(options.output)
+    # log_traces is the same in every spec.
+    written = _resolve_output_paths(options.output, specs[0].log_traces)
     jobs = list(zip(specs, run_sweep(specs, options.parallelism)))
 
     rows = []
     for spec, results in jobs:
         rows.extend(results_rows(spec, results))
-    written = [output_path]
-    if specs[0].log_traces:  # the same in every spec
+    if specs[0].log_traces:
         entries = []
         for spec, results in jobs:
             entries.extend(trace_entries(spec, results))
-        written.append(output_path + TRACE_SUFFIX)
 
     # Each file is written under a temporary name next to its target and
     # renamed into place once both are complete, so an error part-way

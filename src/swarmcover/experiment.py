@@ -21,7 +21,7 @@ import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -87,23 +87,32 @@ def _boolean(raw: str) -> bool:
     return states[raw.lower()]
 
 
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise ValueError("must be positive")
-    return value
+_POSITIVE = (lambda v: v >= 1, "must be positive")
+_UNIT = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
 
 
-def _setting(default, parse, help_text, *, section, key=None, sweep=False, flag=False):
+def _setting(
+    default, parse, help_text, *, section, key=None, sweep=False, flag=False, rule=None
+):
     """A field that is also the config key ``key`` (default: the field name)
     under ``[section]``; ``parse`` turns the key's text into a value. The
     parser of a ``sweep`` key returns a tuple, and the CLI builds one spec
     per combination of sweep values. A ``flag`` key is also a command line
-    option that overrides the file."""
+    option that overrides the file. ``rule`` is a (test, text) pair: ``test``
+    checks each value or sweep item, and ``text`` says what it asks for."""
     metadata = dict(
-        section=section, key=key, parse=parse, help=help_text, sweep=sweep, flag=flag
+        section=section, key=key, parse=parse, help=help_text, sweep=sweep, flag=flag,
+        rule=rule,
     )
     return field(default=default, metadata=metadata)
+
+
+def _check_rules(settings) -> None:
+    """Raise ConfigError for the first field of ``settings`` that breaks its rule."""
+    for f in fields(settings):
+        rule, value = f.metadata.get("rule"), getattr(settings, f.name)
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"{f.name} {rule[1]}, got {value!r}")
 
 
 _run = functools.partial(_setting, section="run")
@@ -120,61 +129,57 @@ class ExperimentSpec:
         key="maps", sweep=True,
     )
     grid: GridMap
-    n_uavs: int = _run(1, _ints, 'swarm sizes, e.g. "1, 2, 3"', key="uavs", sweep=True)
-    mode: str = _run(
-        LOCAL, _lowercase_items, f"any of {', '.join(MODES)}", key="modes", sweep=True
+    n_uavs: int = _run(
+        1, _ints, 'swarm sizes, e.g. "1, 2, 3"', key="uavs", sweep=True,
+        rule=(lambda v: 1 <= v <= MAX_UAVS, f"must be 1..{MAX_UAVS}"),
     )
-    seeds: tuple[int, ...] = _run((1, 2, 3, 4, 5), _ints, "integer seeds", flag=True)
-    max_episodes: int = _run(30, int, "episodes per run", key="episodes", flag=True)
+    mode: str = _run(
+        LOCAL, _lowercase_items, f"any of {', '.join(MODES)}", key="modes", sweep=True,
+        rule=(lambda v: v in MODES, f"must be one of {', '.join(MODES)}"),
+    )
+    seeds: tuple[int, ...] = _run(
+        (1, 2, 3, 4, 5), _ints, "integer seeds", flag=True,
+        rule=(
+            lambda v: v and min(v) >= 0 and len(set(v)) == len(v),
+            "must be one or more distinct non-negative integers",
+        ),
+    )
+    max_episodes: int = _run(
+        30, int, "episodes per run", key="episodes", flag=True, rule=_POSITIVE
+    )
     step_budget: int | None = _run(
         None, int, "per-episode cap on total swarm actions "
         f"(default: {STEP_BUDGET_PER_FREE_CELL} x free cells)",
+        rule=(lambda v: v is None or v >= 0, "must be non-negative"),
     )
-    epsilon: float = _training(0.49, float, "initial exploration rate")
-    epsilon_decay: float = _training(0.93, float, "per-episode decay factor")
-    epsilon_min: float = _training(0.05, float, "floor of epsilon")
-    gamma: float = _training(0.83, float, "discount factor")
-    memory_size: int = _training(60, int, "replay memory capacity, in experiences")
+    epsilon: float = _training(0.49, float, "initial exploration rate", rule=_UNIT)
+    epsilon_decay: float = _training(0.93, float, "per-episode decay factor", rule=_UNIT)
+    epsilon_min: float = _training(0.05, float, "floor of epsilon", rule=_UNIT)
+    gamma: float = _training(0.83, float, "discount factor", rule=_UNIT)
+    memory_size: int = _training(
+        60, int, "replay memory capacity, in experiences", rule=_POSITIVE
+    )
     # A layer-1 step scales with x.x + 1: at most 27 on grove_5x5, where 5e-4
     # diverges after an episode, so this keeps a 2.5x margin there only. On
     # block_9x9 x.x + 1 passes 80, and some seeds diverge at this rate.
-    learning_rate: float = _training(0.0002, float, "SGD step size")
-    batch_size: int = _training(16, int, "experiences replayed after every move")
+    learning_rate: float = _training(
+        0.0002, float, "SGD step size",
+        rule=(lambda v: 0.0 < v < math.inf, "must be positive and finite"),
+    )
+    batch_size: int = _training(
+        16, int, "experiences replayed after every move", rule=_POSITIVE
+    )
     allow_shared_cells: bool = _training(False, _boolean, "let UAVs stack on one cell")
     log_traces: bool = _run(
         False, _boolean, "write best-episode traces for `render`", flag=True
     )
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            modes = ", ".join(MODES)
-            raise ConfigError(f"mode must be one of {modes}, got {self.mode!r}")
-        if not 1 <= self.n_uavs <= MAX_UAVS:
-            raise ConfigError(f"n_uavs must be 1..{MAX_UAVS}, got {self.n_uavs}")
-        try:  # also rejects more UAVs than the map has free or start cells
+        _check_rules(self)
+        try:  # rejects more UAVs than the map has free or start cells
             start_positions(self.grid, self.n_uavs)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not self.seeds:
-            raise ConfigError("seeds must not be empty")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
-        if self.max_episodes < 1:
-            raise ConfigError("max_episodes must be positive")
-        if self.step_budget is not None and self.step_budget < 0:
-            raise ConfigError("step_budget must be non-negative")
-        for name in ("epsilon", "epsilon_decay", "epsilon_min", "gamma"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ConfigError(f"{name} must be in (0, 1], got {value}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
-        if self.memory_size < 1:
-            raise ConfigError("memory_size must be positive")
+            raise ConfigError(f"{self.map_id}: {exc}") from exc
 
     def epsilon_at(self, episode: int) -> float:
         """Exploration rate of an episode: max(epsilon_min, epsilon * decay^episode)."""
@@ -204,8 +209,10 @@ class SweepOptions:
 
     output: str = _run("results.csv", str, "results CSV path", flag=True)
     parallelism: int = _run(
-        1, _positive_int, "worker processes for independent runs", flag=True
+        1, int, "worker processes for independent runs", flag=True, rule=_POSITIVE
     )
+
+    __post_init__ = _check_rules
 
 
 @dataclass(frozen=True)
@@ -356,15 +363,8 @@ def results_rows(spec: ExperimentSpec, results: list[RunResult]) -> list[list[st
         for rec in result.episodes:
             rows.append(prefix + [rec.episode, rec.total_actions, rec.covered, ""])
         best = result.best_total_actions
-        rows.append(
-            prefix
-            + [
-                SUMMARY_LABEL,
-                "",
-                any(rec.covered for rec in result.episodes),
-                best if best is not None else "",
-            ]
-        )
+        covered = best is not None
+        rows.append(prefix + [SUMMARY_LABEL, "", covered, best if covered else ""])
     return [[_format_value(v) for v in row] for row in rows]
 
 

@@ -211,6 +211,75 @@ def test_bad_value_reports_line_number(tmp_path, capsys):
         assert main(["run", config]) == 1
         assert f"line {line}: uavs:" in capsys.readouterr().err
 
+    # An out-of-range value is the first error in file order too.
+    text = f"[run]\nmaps = {map_path}\nepisodes = 0\nuavs = x\n"
+    config = write(tmp_path, "bad.ini", text)
+    assert main(["run", config]) == 1
+    err = capsys.readouterr().err
+    assert f"{config} line 3: episodes: must be positive, got 0" in err
+
+
+# One out-of-range value for each field that has a rule.
+OUT_OF_RANGE = {
+    "uavs": "12",
+    "modes": "loco",
+    "seeds": "-1",
+    "episodes": "0",
+    "step_budget": "-1",
+    "parallelism": "0",
+    "epsilon": "1.5",
+    "epsilon_decay": "0",
+    "epsilon_min": "-0.1",
+    "gamma": "1.01",
+    "memory_size": "0",
+    "learning_rate": "inf",
+    "batch_size": "0",
+}
+
+
+def test_every_rule_has_an_out_of_range_case():
+    assert set(OUT_OF_RANGE) == {cli._key(f) for f in cli._FIELDS if f.metadata["rule"]}
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE.items())
+def test_out_of_range_value_reports_line_and_key(tmp_path, capsys, key, value):
+    f = next(f for f in cli._FIELDS if cli._key(f) == key)
+    map_path = write(tmp_path, "tiny.txt", TINY_MAP)
+    text, line = f"[run]\nmaps = {map_path}\n", 3
+    if f.metadata["section"] == "training":
+        text, line = text + "[training]\n", 4
+    config = write(tmp_path, "bad.ini", f"{text}{key} = {value}\n")
+    assert main(["run", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config} line {line}: {key}: ")
+
+    if f.metadata["flag"]:
+        valid, _ = tiny_config(tmp_path)
+        assert main(["run", valid, f"--{key.replace('_', '-')}={value}"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --{key}: ")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("uavs", "1, 01"),
+        ("modes", "local, LOCAL"),
+        ("maps", "MAP, MAP"),
+        ("seeds", "3, 3"),
+    ],
+)
+def test_repeated_value_rejected(tmp_path, monkeypatch, capsys, key, value):
+    monkeypatch.setattr(cli, "run_sweep", None)  # nothing may train
+    map_path = write(tmp_path, "tiny.txt", TINY_MAP)
+    maps = "\n" if key == "maps" else f"maps = {map_path}\n"
+    text = f"[run]\n{maps}{key} = {value.replace('MAP', map_path)}\n"
+    config = write(tmp_path, "dup.ini", text)
+    assert main(["run", config]) == 1
+    assert f"{config} line 3: {key}: " in capsys.readouterr().err
+    if key == "seeds":
+        assert main(["run", tiny_config(tmp_path)[0], "--seeds", value]) == 1
+        assert "--seeds: must be one or more distinct" in capsys.readouterr().err
+
 
 def test_empty_required_value_reports_line_number(tmp_path, capsys):
     config = write(tmp_path, "bad.ini", "[run]\nmaps =\n")
@@ -446,6 +515,18 @@ def test_unusable_output_path_fails_before_training(tmp_path, monkeypatch, capsy
     assert main(["run", config, "--output", output]) == 2
     assert trained == []
     assert "blocker" in capsys.readouterr().err
+
+    # A directory where the CSV, or with log_traces its sidecar, should be.
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / "r.csv.traces.json").mkdir()
+    for argv, directory in [
+        (["--output", str(tmp_path / "outdir")], "outdir"),
+        (["--output", str(tmp_path / "r.csv"), "--log-traces"], "r.csv.traces.json"),
+    ]:
+        assert main(["run", config, *argv]) == 2
+        assert trained == []
+        assert f"{directory} is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 # --- atomic output ----------------------------------------------------------------

@@ -16,6 +16,7 @@ from swarmcover.experiment import (
     ExperimentSpec,
     RunResult,
     EpisodeRecord,
+    SweepOptions,
     aggregate,
     results_rows,
     run_episode,
@@ -91,6 +92,22 @@ def test_spec_rejects_bad_mode_and_hyperparameters():
         tiny_spec(epsilon_min=0.0)
     with pytest.raises(ConfigError):
         tiny_spec(step_budget=-1)
+
+
+def test_spec_rejects_repeated_seeds():
+    with pytest.raises(ConfigError, match="distinct"):
+        tiny_spec(seeds=(3, 3))
+
+
+def test_start_cell_error_names_the_map():
+    with pytest.raises(ConfigError, match="^two.txt: map designates 2 start cells"):
+        ExperimentSpec(map_id="two.txt", grid=parse_map("12\n.."), n_uavs=3)
+
+
+def test_sweep_options_reject_parallelism_below_one():
+    with pytest.raises(ConfigError, match="parallelism must be positive, got 0"):
+        SweepOptions(parallelism=0)
+    assert SweepOptions().parallelism == 1
 
 
 # --- step budget ---------------------------------------------------------------
