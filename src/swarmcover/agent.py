@@ -2,8 +2,8 @@
 
 Holds the pieces between the grid environment and the experiment loop:
 the bounded FIFO replay memory, epsilon-greedy action selection, the
-Bellman target, and the controller that wires networks and memories to
-UAVs in one of two modes:
+Bellman target, ``step_swarm``, which makes one UAV's move, and the
+controller that wires networks and memories to UAVs in one of two modes:
 
 * ``local``  -- every UAV owns a private network and a private memory;
 * ``global`` -- one shared network and one shared memory, experiences
@@ -15,6 +15,9 @@ random stream identically, so their runs coincide move for move.
 The networks read only the observation entries the map can set
 (``gridworld.live_inputs``); every other entry of the three-plane image is
 0 in every state, so dropping its weights leaves the same function.
+``SwarmController.observe`` is the one place that cuts them out. The turn
+order is the caller's (``experiment.run_episode``), which hands each move
+the observation the previous move ended in, so each state is encoded once.
 """
 
 from __future__ import annotations
@@ -97,7 +100,9 @@ class SwarmController:
     def __init__(self, spec: ExperimentSpec, rng: np.random.Generator) -> None:
         self.spec = spec
         self.live = live_inputs(spec.grid)
-        n_models = spec.n_uavs if spec.mode == LOCAL else 1
+        # The one mode rule: the index of each UAV's network and memory.
+        self._model_of = range(spec.n_uavs) if spec.mode == LOCAL else [0] * spec.n_uavs
+        n_models = len(set(self._model_of))
         image_size = 3 * spec.grid.rows * spec.grid.cols
         self.networks: list[QNetwork] = []
         for _ in range(n_models):
@@ -108,10 +113,14 @@ class SwarmController:
         self.memories = [ReplayMemory(spec.memory_size) for _ in range(n_models)]
 
     def network_for(self, uav: int) -> QNetwork:
-        return self.networks[uav if self.spec.mode == LOCAL else 0]
+        return self.networks[self._model_of[uav]]
 
     def memory_for(self, uav: int) -> ReplayMemory:
-        return self.memories[uav if self.spec.mode == LOCAL else 0]
+        return self.memories[self._model_of[uav]]
+
+    def observe(self, state: SwarmState) -> np.ndarray:
+        """What the networks read of ``state``: the live entries of its encoding."""
+        return encode_observation(self.spec.grid, state)[self.live]
 
 
 def select_action(
@@ -164,36 +173,26 @@ def train_from_memory(
 
 def step_swarm(
     state: SwarmState,
+    uav: int,
+    observation: np.ndarray,
     controller: SwarmController,
     epsilon: float,
     rng: np.random.Generator,
-) -> tuple[SwarmState, list[Experience], bool]:
-    """Advance the swarm one time step on the spec's map: each UAV in index
-    order observes the live entries of the state, picks an action, moves,
-    records the experience, and trains from its memory. Stops mid-step once
-    coverage is complete or the spec's episode budget runs out; UAVs after
-    the finishing move do not act. Within a step each state is encoded
-    once: the state a move leaves is both the mover's next observation and
-    the next UAV's observation. The state the step ends in is encoded again
-    by the next call.
-    """
+) -> tuple[SwarmState, Experience]:
+    """Move one UAV on the spec's map: from ``observation``, the controller's
+    view of ``state``, the UAV picks an action, moves, records the experience
+    in its memory and trains from that memory. The experience's next
+    observation is the view of the state the move leaves, and it is terminal
+    when that state ends the episode: coverage is complete or the spec's
+    episode budget is spent."""
     spec = controller.spec
-    grid = spec.grid
-    experiences: list[Experience] = []
-    done = False
-    observation = encode_observation(grid, state)[controller.live]
-    for uav in range(state.n_uavs):
-        network, memory = controller.network_for(uav), controller.memory_for(uav)
-        qvalues = forward(network, observation)
-        action = select_action(qvalues, epsilon, rng)
-        state, outcome = transition(grid, state, uav, action, spec.allow_shared_cells)
-        next_observation = encode_observation(grid, state)[controller.live]
-        done = spec.episode_over(state)
-        experience = Experience(observation, action, outcome.reward, next_observation, done)
-        experiences.append(experience)
-        memory.append(experience)
-        train_from_memory(memory, network, spec, rng)
-        if done:
-            break
-        observation = next_observation
-    return state, experiences, done
+    network, memory = controller.network_for(uav), controller.memory_for(uav)
+    action = select_action(forward(network, observation), epsilon, rng)
+    state, outcome = transition(spec.grid, state, uav, action, spec.allow_shared_cells)
+    next_observation = controller.observe(state)
+    experience = Experience(
+        observation, action, outcome.reward, next_observation, spec.episode_over(state)
+    )
+    memory.append(experience)
+    train_from_memory(memory, network, spec, rng)
+    return state, experience

@@ -238,7 +238,7 @@ def _read_settings(path: str, args) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     # Values are taken literally (a '%' in a path is just a '%'), and
     # there is no default section: [DEFAULT] is an ordinary section
@@ -297,12 +297,18 @@ def _build_specs(settings: dict) -> list[ExperimentSpec]:
         f.name: settings.get(f.name, (f.default,)) for f in _FIELDS if f.metadata["sweep"]
     }
     fixed = {name: value for name, value in settings.items() if name not in sweeps}
-    grids = {}
+    grids, spellings = {}, {}
+    for map_id in sweeps["map_id"]:
+        # A bundled id wins over a file of that name (resolve_map); a map
+        # file is one map however its path is spelled.
+        key = map_id if map_id in BUNDLED_MAP_NOTES else os.path.realpath(map_id)
+        if key in spellings:
+            raise ConfigError(f"maps: {spellings[key]} and {map_id} name the same file")
+        spellings[key] = map_id
+        grids[map_id] = resolve_map(map_id)
     specs = []
     for values in itertools.product(*sweeps.values()):
         combo = dict(zip(sweeps, values))
-        if combo["map_id"] not in grids:
-            grids[combo["map_id"]] = resolve_map(combo["map_id"])
         specs.append(ExperimentSpec(grid=grids[combo["map_id"]], **combo, **fixed))
     return specs
 

@@ -263,18 +263,21 @@ def run_episode(
 ) -> EpisodeRecord:
     """Run one episode of the controller's spec from a fresh environment
     reset until coverage or budget exhaustion; the controller keeps
-    learning throughout. Moves are recorded when the spec logs traces."""
+    learning throughout. The UAVs move in turn from index 0, and the
+    episode may end mid-round. Moves are recorded when the spec logs
+    traces."""
     spec = controller.spec
     grid, epsilon = spec.grid, spec.epsilon_at(episode_index)
     state = initial_swarm_state(grid, spec.n_uavs)
+    observation = controller.observe(state)
     moves: list[tuple[int, int]] = []
     done = spec.episode_over(state)
     while not done:
-        state, experiences, done = step_swarm(state, controller, epsilon, rng)
+        uav = state.global_step % spec.n_uavs
+        state, experience = step_swarm(state, uav, observation, controller, epsilon, rng)
+        observation, done = experience.next_observation, experience.terminal
         if spec.log_traces:
-            # step_swarm serves UAVs from index 0 up, so the position in
-            # the experience list is the UAV index.
-            moves.extend((uav, int(exp.action)) for uav, exp in enumerate(experiences))
+            moves.append((uav, int(experience.action)))
     return EpisodeRecord(
         episode=episode_index,
         total_actions=state.global_step,

@@ -376,7 +376,7 @@ def resolve_map(name_or_path: str) -> GridMap:
     try:
         with open(name_or_path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileNotFoundError(
             f"{name_or_path!r} is neither a bundled map id nor a readable map file"
         ) from exc

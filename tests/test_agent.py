@@ -15,10 +15,11 @@ from swarmcover.agent import (
     train_from_memory,
 )
 from swarmcover.densenet import forward, init_network
-from swarmcover.experiment import ExperimentSpec
+from swarmcover.experiment import ExperimentSpec, run_episode
 from swarmcover.gridworld import (
     Action,
     initial_swarm_state,
+    is_coverage_complete,
     load_bundled_map,
     parse_map,
 )
@@ -42,6 +43,16 @@ def zeroed_controller(grid, n_uavs, mode, seed=0, **config_kwargs):
         net.layer1.weights[:] = 0.0
         net.layer2.weights[:] = 0.0
     return controller, rng
+
+
+def northward_episode(grid, n_uavs, **config_kwargs):
+    """One logged run_episode of a zeroed controller at an epsilon so small
+    that no seed-0 move explores: every UAV's first move is North."""
+    controller, rng = zeroed_controller(
+        grid, n_uavs, LOCAL, epsilon=1e-12, epsilon_min=1e-12, log_traces=True,
+        **config_kwargs,
+    )
+    return controller, run_episode(controller, 0, rng)
 
 
 # --- epsilon schedule ---------------------------------------------------------
@@ -269,45 +280,48 @@ def test_step_swarm_one_experience_per_uav():
     grid = load_bundled_map("grove_5x5")
     controller, rng = zeroed_controller(grid, 1, LOCAL)
     state = initial_swarm_state(grid, 1)
-    state, experiences, done = step_swarm(state, controller, 0.0, rng)
-    assert len(experiences) == 1
-    assert not done
+    observation = controller.observe(state)
+    state, experience = step_swarm(state, 0, observation, controller, 0.0, rng)
+    assert isinstance(experience, Experience)
+    assert list(controller.memory_for(0)) == [experience]
+    assert not experience.terminal
     assert state.global_step == 1
 
 
 def test_step_swarm_three_uavs_in_order():
     grid = parse_map("....\n....\n....\n....")
-    controller, rng = zeroed_controller(grid, 3, LOCAL)
-    state = initial_swarm_state(grid, 3)
-    state, experiences, done = step_swarm(state, controller, 0.0, rng)
-    assert len(experiences) == 3
-    assert state.per_uav_actions == (1, 1, 1)
-    assert not done
+    _, record = northward_episode(grid, 3, step_budget=30)
+    uavs = [uav for uav, _ in record.moves]
+    assert uavs[:4] == [0, 1, 2, 0]
+    assert uavs == [i % 3 for i in range(len(uavs))]
+    assert record.per_uav_actions == (10, 10, 10)
+    assert not record.covered
 
 
 def test_step_swarm_stops_after_completing_move():
     # Starts cover the bottom row; two unvisited cells remain. With zeroed
-    # networks and epsilon 0 every UAV goes North, so UAV 1's move finishes
-    # coverage and UAV 2 never acts.
+    # networks and no exploration every UAV goes North, so UAV 1's move
+    # finishes coverage and UAV 2 never acts.
     grid = parse_map("..#\n123")
-    controller, rng = zeroed_controller(grid, 3, LOCAL)
-    state = initial_swarm_state(grid, 3)
-    state, experiences, done = step_swarm(state, controller, 0.0, rng)
-    assert done
-    assert len(experiences) == 2
-    assert experiences[-1].terminal
-    assert state.per_uav_actions == (1, 1, 0)
+    controller, record = northward_episode(grid, 3)
+    assert record.covered
+    assert record.moves == ((0, Action.NORTH), (1, Action.NORTH))
+    assert [exp.terminal for exp in controller.memory_for(0)] == [False]
+    assert [exp.terminal for exp in controller.memory_for(1)] == [True]
+    assert record.per_uav_actions == (1, 1, 0)
 
 
 def test_step_swarm_budget_exhaustion_is_terminal():
     grid = load_bundled_map("grove_5x5")
     controller, rng = zeroed_controller(grid, 2, LOCAL, step_budget=1)
     state = initial_swarm_state(grid, 2)
-    state, experiences, done = step_swarm(state, controller, 0.0, rng)
-    assert done
-    assert len(experiences) == 1
-    assert experiences[0].terminal
+    observation = controller.observe(state)
+    state, experience = step_swarm(state, 0, observation, controller, 0.0, rng)
+    assert experience.terminal
     assert state.global_step == 1
+    controller, record = northward_episode(grid, 2, step_budget=1)
+    assert record.moves == ((0, Action.NORTH),)
+    assert record.per_uav_actions == (1, 0)
 
 
 def test_step_swarm_local_isolation():
@@ -334,11 +348,13 @@ def test_step_swarm_local_global_parity_single_uav():
         rng = np.random.default_rng(21)
         controller = SwarmController(make_spec(grid, 1, mode), rng)
         state = initial_swarm_state(grid, 1)
+        observation = controller.observe(state)
         actions = []
         for _ in range(25):
-            state, experiences, done = step_swarm(state, controller, 0.3, rng)
-            actions.extend(int(e.action) for e in experiences)
-            if done:
+            state, exp = step_swarm(state, 0, observation, controller, 0.3, rng)
+            actions.append(int(exp.action))
+            observation = exp.next_observation
+            if exp.terminal:
                 break
         return actions, state.positions
 
@@ -349,13 +365,13 @@ def test_experience_terminal_flags_match_outcomes():
     grid = parse_map("..\n..")
     controller, rng = zeroed_controller(grid, 1, LOCAL)
     state = initial_swarm_state(grid, 1)
+    observation = controller.observe(state)
     seen_terminal = False
     for _ in range(400):
-        state, experiences, done = step_swarm(state, controller, 1.0, rng)
-        for exp in experiences[:-1]:
-            assert not exp.terminal
-        if done:
-            assert experiences[-1].terminal
+        state, exp = step_swarm(state, 0, observation, controller, 1.0, rng)
+        assert exp.terminal == is_coverage_complete(grid, state)
+        observation = exp.next_observation
+        if exp.terminal:
             seen_terminal = True
             break
     assert seen_terminal
@@ -396,10 +412,12 @@ def test_narrow_network_trains_like_the_full_width_one():
     episode_rng = np.random.default_rng(7)
     explorer = SwarmController(spec, episode_rng)
     state, experiences = initial_swarm_state(grid, 1), []
+    observation = explorer.observe(state)
     for _ in range(150):
-        state, new, done = step_swarm(state, explorer, 0.5, episode_rng)
-        experiences += new
-        if done:
+        state, exp = step_swarm(state, 0, observation, explorer, 0.5, episode_rng)
+        experiences.append(exp)
+        observation = exp.next_observation
+        if exp.terminal:
             break
 
     def image(observation):

@@ -281,6 +281,15 @@ def test_repeated_value_rejected(tmp_path, monkeypatch, capsys, key, value):
         assert "--seeds: must be one or more distinct" in capsys.readouterr().err
 
 
+def test_second_spelling_of_a_map_file_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_sweep", None)  # nothing may train
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "two.txt", TINY_MAP)
+    config = write(tmp_path, "dup.ini", "[run]\nmaps = two.txt, ./two.txt\n")
+    assert main(["run", config]) == 1
+    assert "maps: two.txt and ./two.txt name the same file" in capsys.readouterr().err
+
+
 def test_empty_required_value_reports_line_number(tmp_path, capsys):
     config = write(tmp_path, "bad.ini", "[run]\nmaps =\n")
     assert main(["run", config]) == 1
@@ -324,6 +333,25 @@ def test_missing_maps_key(tmp_path, capsys):
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "ghost.ini")]) == 1
     assert "ghost.ini" in capsys.readouterr().err
+
+
+def test_config_file_not_utf8_exits_one(tmp_path, capsys):
+    config = tmp_path / "latin.ini"
+    config.write_bytes(b"[run]\nmaps = grove_5x5 # \xff\n")
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {config}: ")
+    assert "Traceback" not in err
+
+
+def test_map_file_not_utf8_exits_one(tmp_path, capsys):
+    map_path = tmp_path / "latin.txt"
+    map_path.write_bytes(b"1.\n.\xff\n")
+    config = write(tmp_path, "run.ini", f"[run]\nmaps = {map_path}\n")
+    assert main(["run", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: '{map_path}' is neither a bundled map id nor a readable")
+    assert "Traceback" not in err
 
 
 def test_usage_errors_exit_one(capsys):

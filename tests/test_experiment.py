@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from swarmcover import experiment
+from swarmcover import agent, experiment
 from swarmcover.agent import SwarmController
 from swarmcover.densenet import NumericalError
 from swarmcover.experiment import (
@@ -27,6 +27,7 @@ from swarmcover.experiment import (
     write_results_csv,
 )
 from swarmcover.gridworld import (
+    encode_observation,
     initial_swarm_state,
     is_coverage_complete,
     load_bundled_map,
@@ -162,6 +163,23 @@ def test_episode_total_is_sum_of_per_uav_counts():
     for episode in range(3):
         record = run_episode(controller, episode, rng)
         assert record.total_actions == sum(record.per_uav_actions)
+
+
+@pytest.mark.parametrize("n_uavs", [1, 3])
+def test_episode_encodes_each_state_once(monkeypatch, n_uavs):
+    encoded_steps = []
+
+    def counting_encode(grid, state):
+        encoded_steps.append(state.global_step)
+        return encode_observation(grid, state)
+
+    monkeypatch.setattr(agent, "encode_observation", counting_encode)
+    grid = load_bundled_map("grove_5x5")
+    rng = np.random.default_rng(5)
+    spec = tiny_spec(map_id="grove_5x5", grid=grid, n_uavs=n_uavs, step_budget=80)
+    record = run_episode(SwarmController(spec, rng), 0, rng)
+    assert len(encoded_steps) == record.total_actions + 1
+    assert encoded_steps == list(range(record.total_actions + 1))
 
 
 # --- runs ------------------------------------------------------------------------
