@@ -21,6 +21,13 @@ target = 1.5
 
 print("Q before:", np.round(forward(net, observation), 4))
 
+
+def loss_at(params):
+    hidden = np.maximum(params["W1"] @ observation + params["b1"], 0.0)
+    q = params["W2"] @ hidden + params["b2"]
+    return float((q[action] - target) ** 2)
+
+
 # Snapshot, take one full-strength step, and read the gradients off the
 # parameter deltas.
 before = {
@@ -38,13 +45,16 @@ analytic = {
     "W2": before["W2"] - net.layer2.weights,
     "b2": before["b2"] - net.layer2.biases,
 }
-print(f"loss after the full-strength step: {loss:.1f}")
-
-
-def loss_at(params):
-    hidden = np.maximum(params["W1"] @ observation + params["b1"], 0.0)
-    q = params["W2"] @ hidden + params["b2"]
-    return float((q[action] - target) ** 2)
+# train_step returns the loss it descended, at the parameters it started
+# from; the loss after the step is evaluated here on the updated ones.
+after = {
+    "W1": net.layer1.weights,
+    "b1": net.layer1.biases,
+    "W2": net.layer2.weights,
+    "b2": net.layer2.biases,
+}
+print(f"loss before the full-strength step: {loss:.4f}")
+print(f"loss after the full-strength step:  {loss_at(after):.1f}")
 
 
 # Central differences over 200 randomly chosen coordinates per tensor

@@ -18,11 +18,14 @@ The networks read only the observation entries the map can set
 ``SwarmController.observe`` is the one place that cuts them out. The turn
 order is the caller's (``experiment.run_episode``), which hands each move
 the observation the previous move ended in, so each state is encoded once.
+A move runs ``forward`` only when it acts greedily: epsilon-greedy draws
+its coin first, and an exploring move never reads a Q-value.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -82,7 +85,7 @@ class ReplayMemory:
             raise ValueError("cannot sample from an empty memory")
         k = min(k, len(self._buffer))
         indices = rng.choice(len(self._buffer), size=k, replace=False)
-        return [self._buffer[int(i)] for i in indices]
+        return [self._buffer[i] for i in indices.tolist()]
 
 
 class SwarmController:
@@ -124,14 +127,22 @@ class SwarmController:
 
 
 def select_action(
-    qvalues: np.ndarray, epsilon: float, rng: np.random.Generator
+    qvalues: np.ndarray | Callable[[], np.ndarray],
+    epsilon: float,
+    rng: np.random.Generator,
 ) -> Action:
     """Epsilon-greedy pick: explore uniformly with probability epsilon,
-    otherwise take the argmax (ties broken by lowest action code)."""
+    otherwise take the argmax (ties broken by lowest action code).
+
+    ``qvalues`` is the Q-values or a zero-argument callable that returns
+    them. The coin is drawn first, and the callable is called only on a
+    greedy pick, so an exploring move computes no Q-value."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
     if rng.random() < epsilon:
         return Action(int(rng.integers(len(Action))))
+    if callable(qvalues):
+        qvalues = qvalues()
     return Action(int(np.argmax(qvalues)))
 
 
@@ -154,7 +165,8 @@ def train_from_memory(
     """One training pass: sample up to batch_size experiences and train on
     them in sampled order, in one batched train_step. Each Bellman target
     comes from the network as the samples before it left it, as in
-    sequential experience replay. Returns the mean loss."""
+    sequential experience replay. Returns the mean squared TD error of the
+    batch, each sample's at the parameters its step starts from."""
     batch = memory.sample(spec.batch_size, rng)
 
     def target(i: int, next_qvalues: np.ndarray) -> float:
@@ -181,13 +193,14 @@ def step_swarm(
 ) -> tuple[SwarmState, Experience]:
     """Move one UAV on the spec's map: from ``observation``, the controller's
     view of ``state``, the UAV picks an action, moves, records the experience
-    in its memory and trains from that memory. The experience's next
-    observation is the view of the state the move leaves, and it is terminal
-    when that state ends the episode: coverage is complete or the spec's
-    episode budget is spent."""
+    in its memory and trains from that memory. The network's Q-values for
+    ``observation`` are computed only when the pick is greedy. The
+    experience's next observation is the view of the state the move leaves,
+    and it is terminal when that state ends the episode: coverage is
+    complete or the spec's episode budget is spent."""
     spec = controller.spec
     network, memory = controller.network_for(uav), controller.memory_for(uav)
-    action = select_action(forward(network, observation), epsilon, rng)
+    action = select_action(lambda: forward(network, observation), epsilon, rng)
     state, outcome = transition(spec.grid, state, uav, action, spec.allow_shared_cells)
     next_observation = controller.observe(state)
     experience = Experience(

@@ -5,9 +5,12 @@ Q-value per compass action. Training is plain SGD on the squared error of
 the taken action's output; gradients are computed analytically and the
 test suite cross-checks them against central finite differences. A replay
 pass of 16 experiences is one batched ``train_step`` call that equals 16
-sequential SGD steps up to rounding. It writes into scratch arrays kept
-per layer-1 weight shape, so ``train_step`` is neither re-entrant nor
-thread-safe.
+sequential SGD steps up to rounding. It returns the loss its steps
+descend, the mean squared TD error at the parameters each step starts
+from, so a pass evaluates no sample twice. It writes into scratch arrays
+kept per layer-1 weight shape (the stacked inputs, their pre-activations,
+each sample's step and the summed W1 and b1 steps), so ``train_step`` is
+neither re-entrant nor thread-safe.
 
 Q-values stay linear (unbounded) so they can regress onto reward-scale
 targets.
@@ -165,15 +168,13 @@ class _Scratch:
     """The arrays a replay pass writes into, for one W1 shape and up to
     ``capacity`` samples. Kept between passes, so that a pass allocates
     only small temporaries: its (k, 2k) Gram matrix, a few vectors and
-    numpy's broadcast buffer."""
+    numpy's broadcast buffer for the layer-1 bias."""
 
     def __init__(self, capacity: int, hidden: int, inputs: int) -> None:
         self.capacity = capacity
         self.vectors = np.empty((2 * capacity, inputs))  # observations, then next
         self.z = np.empty((2 * capacity, hidden))  # their pre-activations
         self.steps = np.empty((capacity, hidden))  # lr * grad_z1 of each sample
-        self.grads = np.empty((capacity, hidden))  # grad_z1, then the post-step ReLU
-        self.w2_rows = np.empty((capacity, hidden))  # taken action's row after its step
         self.correction = np.empty((2, hidden))
         self.relu = np.empty((2, hidden))
         self.active = np.empty(hidden, dtype=bool)  # one sample's z1 > 0, as 1 or 0
@@ -213,9 +214,11 @@ def train_step(
     with the Q-values of next observation i at the parameters step i
     starts from. Only the taken action's error drives a step, so the
     layer-2 weights of the other actions never move. Parameters are
-    updated in place; the mean loss, each at the parameters right after its
-    step, is returned for logging. A batch whose parts differ in length,
-    or do not fit the network, raises ShapeError.
+    updated in place. The mean over the k samples of ``(Q(s, a) -
+    target) ** 2``, each at the parameters its step starts from, is
+    returned for logging: the squared TD error the pass descends. A batch
+    whose parts differ in length, or do not fit the network, raises
+    ShapeError; a non-finite gradient or loss raises NumericalError.
 
     Layer 1 is batched through the rank-1 identity of its update: step j
     moves W1 by ``-outer(s_j, x_j)`` and b1 by ``-s_j``, which moves the
@@ -225,9 +228,9 @@ def train_step(
     all k steps at the end in one product. This equals k sequential steps
     up to rounding, and a single step bit for bit.
 
-    The pass writes into scratch arrays kept per W1 shape, so it allocates
-    no large temporary. That makes ``train_step`` neither re-entrant nor
-    thread-safe: a ``targets`` callable must not call it.
+    The pass writes into scratch arrays kept per W1 shape (``_Scratch``),
+    so it allocates no large temporary. That makes ``train_step`` neither
+    re-entrant nor thread-safe: a ``targets`` callable must not call it.
     """
     w1, b1 = net.layer1.weights, net.layer1.biases
     w2, b2 = net.layer2.weights, net.layer2.biases
@@ -266,13 +269,13 @@ def train_step(
         gram = x @ vectors.T
         gram += 1.0
         gram_t = gram.T
-        steps, grads, w2_rows = scratch.steps[:k], scratch.grads[:k], scratch.w2_rows[:k]
+        steps = scratch.steps[:k]
         correction = scratch.correction[:rows_per_sample]
         relu = scratch.relu[:rows_per_sample]
         active = scratch.active
         active_01 = active.view(np.uint8)
-        grad_bits = grads.view(np.int64)
-        b2_after, step_targets = [], []
+        step_bits = steps.view(np.int64)
+        total = 0.0
         for i in range(k):
             # Row i of z, then row k + i when next observations are given,
             # corrected in place for the steps before this one.
@@ -287,44 +290,32 @@ def train_step(
             else:
                 target = targets(i, w2 @ relu[1] + b2)
             action = int(actions[i])
-            w2a, b2a = w2[action], b2[action]
-            grad_q = 2.0 * (w2a @ hidden + b2a - target)
+            w2a, b2a = w2[action], float(b2[action])
+            residual = float(w2a @ hidden) + b2a - target
+            grad_q = 2.0 * residual
             if not math.isfinite(grad_q):
                 raise NumericalError("non-finite gradient in train_step")
+            # The loss this step descends, in sample order.
+            total += residual * residual
 
-            # Backprop through the taken action's output only: grad_z1 is
-            # grad_q * w2[action] where z1 > 0, and +0.0 elsewhere. z1 > 0
-            # exactly where the ReLU row is > 0, since a NaN or +inf in z1
-            # would have made grad_q non-finite. Multiplying the bits by 1
-            # or 0 zeroes the rest exactly, without the branches of a
-            # masked assignment.
-            grad_z1 = np.multiply(grad_q, w2a, out=grads[i])
+            # Backprop through the taken action's output only: step i is
+            # lr * grad_z1, and grad_z1 is grad_q * w2[action] where z1 > 0
+            # and +0.0 elsewhere. z1 > 0 exactly where the ReLU row is > 0,
+            # since a NaN or +inf in z1 would have made grad_q non-finite.
+            # Multiplying the bits by 1 or 0 zeroes the rest exactly,
+            # without the branches of a masked assignment.
+            step = np.multiply(grad_q, w2a, out=steps[i])
+            np.multiply(lr, step, out=step)
             np.greater(hidden, 0.0, out=active)
-            np.multiply(grad_bits[i], active_01, out=grad_bits[i])
-            np.multiply(lr, grad_z1, out=steps[i])
+            np.multiply(step_bits[i], active_01, out=step_bits[i])
             hidden *= lr * grad_q
             w2a -= hidden
-            b2a = b2[action] = b2a - lr * grad_q
-            w2_rows[i] = w2a
-            b2_after.append(b2a)
-            step_targets.append(target)
-        if not np.isfinite(grads).all():
+            b2[action] = b2a - lr * grad_q
+        if not np.isfinite(steps).all():
             raise NumericalError("non-finite gradient in train_step")
         w1 -= np.matmul(steps.T, x, out=scratch.w1_step)
         b1 -= np.sum(steps, axis=0, out=scratch.b1_step)
-
-        # Post-update losses, without a second forward pass: step i alone
-        # shifts its own z1 by -lr * grad_z1 * (x_i . x_i + 1).
-        grads *= (lr * gram.diagonal())[:, None]
-        np.subtract(z[:k], grads, out=grads)
-        np.maximum(grads, 0.0, out=grads)
-        # vecdot rounds each row like w2[action] @ relu, and the residuals
-        # are summed in sample order, as k one-row steps would.
-        total = 0.0
-        for q, b, t in zip(np.vecdot(w2_rows, grads).tolist(), b2_after, step_targets):
-            residual = q + b - t
-            total += residual * residual
-        loss = total / k
+    loss = float(total / k)
     if not math.isfinite(loss):
         raise NumericalError("non-finite loss in train_step")
-    return float(loss)
+    return loss

@@ -148,6 +148,19 @@ def test_select_action_uniform_when_always_exploring():
     chi2 = float((((counts - 2500.0) ** 2) / 2500.0).sum())
     assert chi2 < 3 + 3 * np.sqrt(6)
 
+    # Given as a callable, the Q-values are computed only for a greedy pick.
+    calls = []
+
+    def qvalues_of():
+        calls.append(1)
+        return q
+
+    for _ in range(1_000):
+        select_action(qvalues_of, 1.0, rng)
+    assert calls == []
+    assert select_action(qvalues_of, 0.0, rng) == Action.EAST
+    assert calls == [1]
+
 
 def test_select_action_epsilon_validated():
     rng = np.random.default_rng(0)
@@ -359,6 +372,28 @@ def test_step_swarm_local_global_parity_single_uav():
         return actions, state.positions
 
     assert trace(LOCAL) == trace(GLOBAL)
+
+
+def test_run_episode_runs_forward_only_on_greedy_moves(monkeypatch):
+    """Epsilon-greedy draws its coin before any Q-value exists: an
+    exploring move never runs the network, a greedy move runs it once."""
+    calls = []
+
+    def counting_forward(net, observation):
+        calls.append(1)
+        return forward(net, observation)
+
+    monkeypatch.setattr("swarmcover.agent.forward", counting_forward)
+    grid = load_bundled_map("grove_5x5")
+    for epsilon, calls_per_move in [(1.0, 0), (1e-12, 1)]:
+        calls.clear()
+        rng = np.random.default_rng(5)
+        spec = make_spec(
+            grid, 2, GLOBAL, epsilon=epsilon, epsilon_min=epsilon, step_budget=60
+        )
+        record = run_episode(SwarmController(spec, rng), 0, rng)
+        assert record.total_actions > 0
+        assert len(calls) == calls_per_move * record.total_actions
 
 
 def test_experience_terminal_flags_match_outcomes():

@@ -132,19 +132,22 @@ def test_train_step_zero_learning_rate():
 
 
 def test_train_step_reduces_loss():
+    """Each call returns the loss at the parameters it starts from, so a
+    second identical call reports the loss the first step left."""
     net = toy_network()
     x = np.array([1.0, 1.0])
-    before = float((forward(net, x)[0] - 10.0) ** 2)
+    before = train_step(net, x, 0, 10.0, 0.01)
     after = train_step(net, x, 0, 10.0, 0.01)
     assert after < before
 
 
-def test_train_step_returns_post_update_loss():
+def test_train_step_returns_pre_step_loss():
     rng = np.random.default_rng(9)
     net = random_small_network(rng)
     x = rng.normal(0, 1, 6)
+    expected = float((forward(net, x)[1] - 4.0) ** 2)
     loss = train_step(net, x, 1, 4.0, 0.05)
-    assert loss == pytest.approx(float((forward(net, x)[1] - 4.0) ** 2), rel=1e-12)
+    assert loss == pytest.approx(expected, rel=1e-12)
 
 
 def test_train_step_untaken_action_isolation():
@@ -202,12 +205,27 @@ def test_train_step_non_finite_raises():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("target", [1e150, 1e200])
-def test_train_step_overflowing_loss_raises(target):
-    """A step this far off overflows the post-update loss; that must be a
-    NumericalError, not a numpy warning or an infinite loss."""
-    with pytest.raises(NumericalError):
-        train_step(toy_network(), np.array([1.0, 1.0]), 0, target, 1e-9)
+@pytest.mark.parametrize(
+    "target, finite_losses, error",
+    [
+        (1e150, [1e300], "non-finite gradient"),
+        (1e155, [], "non-finite loss"),
+        (1e200, [], "non-finite loss"),
+    ],
+    ids=["1e+150", "1e+155", "1e+200"],
+)
+def test_train_step_overflowing_loss_raises(target, finite_losses, error):
+    """A residual this far off overflows; that must be a NumericalError,
+    not a numpy warning or an infinite loss. From 1e155 the squared
+    residual itself overflows, so the first call raises. At 1e150 that
+    loss (1e300) is finite and returned, but the step it takes leaves
+    parameters whose next gradient overflows, so the next call raises."""
+    net = toy_network()
+    x = np.array([1.0, 1.0])
+    for expected in finite_losses:
+        assert train_step(net, x, 0, target, 1e-9) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(NumericalError, match=error):
+        train_step(net, x, 0, target, 1e-9)
 
 
 @pytest.mark.filterwarnings("error")
@@ -266,7 +284,8 @@ def test_train_step_matches_dense_outer_update(
     seed, kind, in_dim, hidden, action, target, learning_rate
 ):
     """A one-row train_step must equal the dense update written out here,
-    outer product and all, bit for bit, whatever the input."""
+    outer product and all, bit for bit, whatever the input, and return
+    the squared residual at the starting parameters."""
     rng = np.random.default_rng(seed)
     net = random_small_network(rng, in_dim, hidden)
     x = observation_of(kind, rng, in_dim)
@@ -276,15 +295,14 @@ def test_train_step_matches_dense_outer_update(
     # The dense reference, gradients computed here from the parameters.
     z1 = w1 @ x + b1
     h = np.maximum(z1, 0.0)
-    grad_q = 2.0 * ((w2[action] @ h + b2[action]) - target)
+    residual = (w2[action] @ h + b2[action]) - target
+    grad_q = 2.0 * residual
     grad_z1 = np.where(z1 > 0.0, grad_q * w2[action], 0.0)
     lr = learning_rate
     w2[action] -= lr * grad_q * h
     b2[action] -= lr * grad_q
     w1 -= np.outer(lr * grad_z1, x)
     b1 -= lr * grad_z1
-    z1_after = z1 - (lr * (x @ x + 1.0)) * grad_z1
-    residual = w2[action] @ np.maximum(z1_after, 0.0) + b2[action] - target
 
     loss = train_step(net, x, action, target, learning_rate)
     assert same_bits(net.layer1.weights, w1)
