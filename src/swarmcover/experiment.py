@@ -21,12 +21,13 @@ import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from contextlib import nullcontext
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from .agent import LOCAL, MODES, SwarmController, step_swarm
-from .densenet import one_blas_thread
+from .densenet import NumericalError, one_blas_thread
 from .gridworld import (
     MAX_UAVS,
     GridMap,
@@ -290,15 +291,21 @@ def run_episode(
 def run_seed(spec: ExperimentSpec, seed: int) -> RunResult:
     """One fully deterministic run: a fresh controller trained for
     ``max_episodes`` episodes, everything driven by one generator, with
-    BLAS on one thread."""
+    BLAS on one thread. A NumericalError names the run and episode it
+    came from."""
     rng = np.random.default_rng(seed)
     controller = SwarmController(spec, rng)
+    episodes = []
     with one_blas_thread():
-        episodes = tuple(
-            run_episode(controller, episode, rng)
-            for episode in range(spec.max_episodes)
-        )
-    return RunResult(seed=seed, episodes=episodes)
+        for episode in range(spec.max_episodes):
+            try:
+                episodes.append(run_episode(controller, episode, rng))
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"{spec.map_id}, {spec.n_uavs} UAV, {spec.mode}, seed {seed}, "
+                    f"episode {episode}: {exc}"
+                ) from exc
+    return RunResult(seed=seed, episodes=tuple(episodes))
 
 
 def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
@@ -309,19 +316,19 @@ def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
 def run_sweep(
     specs: list[ExperimentSpec], parallelism: int = 1
 ) -> list[list[RunResult]]:
-    """Run several experiments, optionally across worker processes, at
-    most one per spec.
+    """Run several experiments as one (spec, seed) run per task, on up to
+    ``parallelism`` worker processes.
 
-    Results come back in the order of ``specs`` regardless of which
-    worker finished first, so output files are reproducible.
+    Results come back per spec in seed order regardless of which worker
+    finished first, so output files are reproducible.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
-    workers = min(parallelism, len(specs))
-    if workers <= 1:
-        return [run_experiment(spec) for spec in specs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_experiment, specs))
+    runs = [replace(spec, seeds=(seed,)) for spec in specs for seed in spec.seeds]
+    workers = min(parallelism, len(runs))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        done = (pool.map if pool else map)(run_experiment, runs)
+        return [[run for _ in spec.seeds for run in next(done)] for spec in specs]
 
 
 def aggregate(results: list[RunResult]) -> AggregateStats:

@@ -86,10 +86,17 @@ def test_run_flag_overrides(tmp_path):
 
 
 def test_run_parallelism_matches_sequential(tmp_path):
-    config, _ = tiny_config(tmp_path, extra_run="uavs = 1, 2\n")
+    config, map_path = tiny_config(tmp_path, extra_run="uavs = 1, 2\n")
     a, b = tmp_path / "seq.csv", tmp_path / "par.csv"
     assert main(["run", config, "--output", str(a), "--parallelism", "1"]) == 0
     assert main(["run", config, "--output", str(b), "--parallelism", "2"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+    one_spec = write(
+        tmp_path, "seeds.ini", f"[run]\nmaps = {map_path}\nepisodes = 5\nseeds = 1, 2, 3\n"
+    )
+    assert main(["run", one_spec, "--output", str(a), "--parallelism", "1"]) == 0
+    assert main(["run", one_spec, "--output", str(b), "--parallelism", "2"]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -352,6 +359,19 @@ def test_map_file_not_utf8_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: '{map_path}' is neither a bundled map id nor a readable")
     assert "Traceback" not in err
+
+
+def test_diverged_pooled_run_names_itself(tmp_path, capsys):
+    map_path = write(tmp_path, "tiny.txt", TINY_MAP)
+    config = write(
+        tmp_path,
+        "diverge.ini",
+        f"[run]\nmaps = {map_path}\noutput = {tmp_path}/out.csv\nepisodes = 5\n"
+        "seeds = 1, 2\n[training]\nlearning_rate = 0.05\n",
+    )
+    assert main(["run", config, "--parallelism", "2"]) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"error: {re.escape(map_path)}, 1 UAV, local, seed [12], episode \d+: ", err)
 
 
 def test_usage_errors_exit_one(capsys):

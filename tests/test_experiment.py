@@ -252,16 +252,18 @@ def test_diverging_run_raises_numerical_error(map_id, learning_rate):
     grid = TINY_3X3 if map_id == "tiny_3x3" else load_bundled_map(map_id)
     spec = tiny_spec(map_id=map_id, grid=grid, max_episodes=3, step_budget=60,
                      learning_rate=learning_rate)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match=rf"^{map_id}, 1 UAV, local, seed 1, episode \d+: "):
         run_seed(spec, 1)
 
 
 def test_run_sweep_parallel_matches_sequential():
     specs = [tiny_spec(seeds=(1, 2), max_episodes=2, n_uavs=n) for n in (1, 2)]
     assert run_sweep(specs, parallelism=2) == run_sweep(specs, parallelism=1)
+    one_spec = [tiny_spec(seeds=(1, 2, 3), max_episodes=2)]
+    assert run_sweep(one_spec, parallelism=2) == run_sweep(one_spec, parallelism=1)
 
 
-def test_run_sweep_starts_at_most_one_worker_per_spec(monkeypatch):
+def test_run_sweep_starts_at_most_one_worker_per_run(monkeypatch):
     pools = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -269,11 +271,20 @@ def test_run_sweep_starts_at_most_one_worker_per_spec(monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
+        def map(self, fn, runs):
+            runs = list(runs)
+            assert fn is run_experiment
+            assert all(len(run.seeds) == 1 for run in runs)
+            return super().map(fn, runs)
+
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     specs = [tiny_spec(n_uavs=n) for n in (1, 2)]
     assert run_sweep(specs, parallelism=4) == run_sweep(specs, parallelism=1)
     assert run_sweep(specs[:1], parallelism=3) == run_sweep(specs[:1], parallelism=1)
-    assert pools == [2]  # the one-spec sweep ran in this process
+    assert pools == [2]  # the one-run sweep ran in this process
+    three_seeds = [tiny_spec(seeds=(1, 2, 3))]
+    assert run_sweep(three_seeds, parallelism=2) == run_sweep(three_seeds, parallelism=1)
+    assert pools == [2, 2]
 
 
 # --- aggregation -----------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_demos_use_every_name_they_import():
 
 
 def test_numpy_requirement_has_a_floor_of_two():
-    # densenet.train_step calls np.vecdot, which numpy 2.0 added.
+    # The suite and tests/golden.json are made and checked on numpy 2.
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as handle:
         dependencies = tomllib.load(handle)["project"]["dependencies"]
