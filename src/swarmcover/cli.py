@@ -21,6 +21,7 @@ import argparse
 import configparser
 import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -183,38 +184,8 @@ def main(argv=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Config file reading. configparser does the parsing; the raw text is
-# kept around so diagnostics can point at the offending line.
-
-
-def _line(parser, text: str, section: str, key: str | None = None) -> int | None:
-    """Number of the line that opens [section], or that sets ``key`` in it,
-    read by configparser's own rules: its header and option patterns, and a
-    line indented deeper than the option line above it continues that
-    option's value."""
-    current = option = None
-    indent = 0
-    # read_string numbers the lines it splits at "\n" only.
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(("#", ";")):
-            continue
-        level = parser.NONSPACECRE.search(line).start()
-        if option is not None and level > indent:
-            continue
-        indent = level
-        header = parser.SECTCRE.match(stripped)
-        if header:
-            current, option = header.group("header"), None
-            if key is None and current == section:
-                return lineno
-        else:
-            match = parser.OPTCRE.match(stripped)
-            if match:
-                option = parser.optionxform(match.group("option").rstrip())
-                if current == section and option == key:
-                    return lineno
-    return None
+# Config file reading. configparser does the parsing, and the dicts it fills
+# note the lines that diagnostics point at.
 
 
 def _parse(f: dataclasses.Field, raw: str):
@@ -231,34 +202,62 @@ def _parse(f: dataclasses.Field, raw: str):
     return value
 
 
-def _read_settings(path: str, args) -> dict:
-    """Field name -> value of every key that the config file at ``path`` or
-    a command line flag sets; a flag overrides the file. The file is read in
-    one pass, so its first error in file order is the one reported."""
+def _read_config(path: str) -> tuple[configparser.ConfigParser, dict]:
+    """configparser's read of the file at ``path``, and the line that opens
+    each section, keyed (None, section), or sets each key, keyed (section, key)."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    lines, reading = {}, 0
+
+    def feed():  # the lines as read_string splits them, at "\n" only
+        nonlocal reading
+        for reading, line in enumerate(io.StringIO(text), start=1):
+            yield line
+
+    # configparser makes its section list and each section's options with
+    # dict_type and handles each line of feed() before taking the next
+    # (CPython 3.10-3.13; the line-number tests would catch a change). A
+    # key's first set is its line: joining a continued value sets it again.
+    class Numbered(dict):
+        section = None
+
+        def __setitem__(self, key, value):
+            if isinstance(value, Numbered):
+                value.section = key
+            lines.setdefault((self.section, key), reading)
+            super().__setitem__(key, value)
+
     # Values are taken literally (a '%' in a path is just a '%'), and
     # there is no default section: [DEFAULT] is an ordinary section
     # here, so it is rejected like any other unknown one instead of
     # leaking its keys into [run] and [training].
-    parser = configparser.ConfigParser(interpolation=None, default_section=None)
+    parser = configparser.ConfigParser(
+        interpolation=None, default_section=None, dict_type=Numbered
+    )
     try:
-        parser.read_string(text, source=path)
+        parser.read_file(feed(), source=path)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    return parser, lines
 
-    def error(message: str, section: str, key: str | None = None) -> ConfigError:
-        line = _line(parser, text, section, key)
-        return ConfigError(f"{path} line {line}: {message}")
+
+def _read_settings(path: str, args) -> dict:
+    """Field name -> value of every key that the config file at ``path`` or
+    a command line flag sets; a flag overrides the file. The file is read in
+    one pass, so its first error in file order is the one reported."""
+    parser, lines = _read_config(path)
+
+    def error(message: str, section: str | None, key: str) -> ConfigError:
+        return ConfigError(f"{path} line {lines[section, key]}: {message}")
 
     fields = {(f.metadata["section"], _key(f)): f for f in _FIELDS}
     settings = {}
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
-            raise error(f"unknown section [{section}]", section)
+            raise error(f"unknown section [{section}]", None, section)
         for key, raw in parser.items(section):
             f = fields.get((section, key))
             if f is None:
@@ -315,11 +314,13 @@ def _build_specs(settings: dict) -> list[ExperimentSpec]:
 
 def _resolve_output_paths(output: str, log_traces: bool) -> list[str]:
     """The files a sweep writes: the results CSV at ``output`` and, with
-    ``log_traces``, its trace sidecar. Makes their directory and refuses a
-    path that names a directory, so that either fails before training."""
+    ``log_traces``, its trace sidecar. Makes their directory and refuses an
+    empty path or a directory, so that either fails before training."""
     base_dir = os.environ.get(OUTPUT_DIR_ENV)
     if base_dir and not os.path.isabs(output):
         output = os.path.join(base_dir, output)
+    if not output:
+        raise RuntimeFailure("output path is empty")
     parent = os.path.dirname(output)
     if parent:
         os.makedirs(parent, exist_ok=True)

@@ -374,7 +374,7 @@ def resolve_map(name_or_path: str) -> GridMap:
     if name_or_path in BUNDLED_MAP_NOTES:
         return load_bundled_map(name_or_path)
     try:
-        with open(name_or_path, encoding="utf-8") as handle:
+        with open(name_or_path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FileNotFoundError(

@@ -1,10 +1,13 @@
 """Command line tests: argument handling, exit codes, output formatting."""
 
+import codecs
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmcover import cli
 from swarmcover.cli import _KNOWN_KEYS, main
@@ -310,6 +313,55 @@ def test_empty_required_value_reports_line_number(tmp_path, capsys):
     assert "line 5: uavs:" in capsys.readouterr().err
 
 
+NAME = st.text("abcdeXYZ_0123456789", min_size=1, max_size=8)
+VALUE = st.text("ab c,%#;:=[]/.-_", max_size=12)
+# Lines that set no section or key: blank ones, and comments at any indent.
+FILLER = st.one_of(
+    st.sampled_from(["", "  ", "\t"]),
+    st.tuples(st.sampled_from(["", " ", "\t  "]), st.sampled_from("#;"), VALUE).map("".join),
+)
+# A line indented deeper than its option line, however it reads.
+CONTINUATION = st.tuples(
+    st.sampled_from([" ", "  ", "\t"]), st.sampled_from(["{}", "[{}]", "{} = x"]), NAME
+).map(lambda parts: parts[0] + parts[1].format(parts[2]))
+
+
+@st.composite
+def numbered_configs(draw):
+    """A config text and the line of each header, keyed (None, section), and
+    of each option, keyed (section, key), as it was emitted."""
+    lines, where = [], {}
+
+    def emit(line):
+        lines.append(line)
+        return len(lines)
+
+    lines += draw(st.lists(FILLER, max_size=2))
+    for section in draw(st.lists(NAME, min_size=1, max_size=3, unique=True)):
+        where[None, section] = emit(f"[{section}]")
+        lines += draw(st.lists(FILLER, max_size=2))
+        for key in draw(st.lists(NAME, max_size=4, unique_by=str.lower)):
+            delimiter = draw(st.sampled_from(["=", " = ", ":", " : ", " ="]))
+            where[section, key.lower()] = emit(f"{key}{delimiter}{draw(VALUE)}")
+            # Deeper-indented lines continue the value; blank and comment
+            # lines between them do not end it.
+            lines += draw(st.lists(st.one_of(FILLER, CONTINUATION), max_size=3))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), where
+
+
+@settings(max_examples=200, deadline=None)
+@given(numbered_configs())
+def test_read_config_numbers_each_header_and_key_where_emitted(tmp_path_factory, config):
+    text, where = config
+    path = tmp_path_factory.mktemp("numbered") / "run.ini"
+    path.write_bytes(text.encode())
+    parser, lines = cli._read_config(str(path))
+    read = {(None, section): lines[None, section] for section in parser.sections()}
+    for section in parser.sections():
+        read.update({(section, key): lines[section, key] for key in parser[section]})
+    assert read == where
+
+
 def test_bad_mode_rejected(tmp_path, capsys):
     config, _ = tiny_config(tmp_path, extra_run="modes = hybrid\n")
     assert main(["run", config]) == 1
@@ -359,6 +411,21 @@ def test_map_file_not_utf8_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: '{map_path}' is neither a bundled map id nor a readable")
     assert "Traceback" not in err
+
+
+def test_byte_order_mark_is_accepted(tmp_path, capsys):
+    # A UTF-8 file saved with a byte-order mark reads as the same text
+    # without it, and its lines keep their numbers.
+    config, map_path = tiny_config(tmp_path)
+    for path in (Path(config), Path(map_path)):
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert main(["run", config]) == 0
+    capsys.readouterr()
+
+    config = tmp_path / "bad.ini"
+    config.write_bytes(codecs.BOM_UTF8 + b"[plotting]\nx = 1\n")
+    assert main(["run", str(config)]) == 1
+    assert f"{config} line 1: unknown section [plotting]" in capsys.readouterr().err
 
 
 def test_diverged_pooled_run_names_itself(tmp_path, capsys):
@@ -575,6 +642,11 @@ def test_unusable_output_path_fails_before_training(tmp_path, monkeypatch, capsy
         assert trained == []
         assert f"{directory} is a directory" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+    # An empty path names no file.
+    assert main(["run", config, "--output", ""]) == 2
+    assert trained == []
+    assert "output path is empty" in capsys.readouterr().err
 
 
 # --- atomic output ----------------------------------------------------------------
