@@ -18,8 +18,9 @@ The networks read only the observation entries the map can set
 ``SwarmController.observe`` is the one place that cuts them out. The turn
 order is the caller's (``experiment.run_episode``), which hands each move
 the observation the previous move ended in, so each state is encoded once.
-A move runs ``forward`` only when it acts greedily: epsilon-greedy draws
-its coin first, and an exploring move never reads a Q-value.
+``select_action`` takes the Q-values as a callable and draws its coin
+first, so a move runs ``forward`` only when it acts greedily: an exploring
+move never reads a Q-value.
 """
 
 from __future__ import annotations
@@ -127,23 +128,19 @@ class SwarmController:
 
 
 def select_action(
-    qvalues: np.ndarray | Callable[[], np.ndarray],
-    epsilon: float,
-    rng: np.random.Generator,
+    qvalues: Callable[[], np.ndarray], epsilon: float, rng: np.random.Generator
 ) -> Action:
     """Epsilon-greedy pick: explore uniformly with probability epsilon,
     otherwise take the argmax (ties broken by lowest action code).
 
-    ``qvalues`` is the Q-values or a zero-argument callable that returns
-    them. The coin is drawn first, and the callable is called only on a
-    greedy pick, so an exploring move computes no Q-value."""
+    ``qvalues`` is a zero-argument callable that returns the Q-values. The
+    coin is drawn first, and ``qvalues`` is called only on a greedy pick, so
+    an exploring move computes no Q-value."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
     if rng.random() < epsilon:
         return Action(int(rng.integers(len(Action))))
-    if callable(qvalues):
-        qvalues = qvalues()
-    return Action(int(np.argmax(qvalues)))
+    return Action(int(np.argmax(qvalues())))
 
 
 def bellman_target(

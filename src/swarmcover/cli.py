@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, MapError, FileNotFoundError) as exc:
+    except (ConfigError, MapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeFailure, OSError, ArithmeticError) as exc:
@@ -304,7 +304,10 @@ def _build_specs(settings: dict) -> list[ExperimentSpec]:
         if key in spellings:
             raise ConfigError(f"maps: {spellings[key]} and {map_id} name the same file")
         spellings[key] = map_id
-        grids[map_id] = resolve_map(map_id)
+        try:
+            grids[map_id] = resolve_map(map_id)
+        except FileNotFoundError as exc:
+            raise ConfigError(str(exc)) from exc
     specs = []
     for values in itertools.product(*sweeps.values()):
         combo = dict(zip(sweeps, values))
@@ -351,25 +354,17 @@ def _format_cell(results: list[RunResult]) -> str:
 
 def _print_summary(jobs: list[tuple[ExperimentSpec, list[RunResult]]]) -> None:
     """Grid of mean ± std best totals: one row per map, one column per
-    (uavs, mode) combination."""
-    map_ids: list[str] = []
-    combos: list[tuple[int, str]] = []
-    cells: dict[tuple[str, tuple[int, str]], str] = {}
-    for spec, results in jobs:
-        combo = (spec.n_uavs, spec.mode)
-        if spec.map_id not in map_ids:
-            map_ids.append(spec.map_id)
-        if combo not in combos:
-            combos.append(combo)
-        cells[(spec.map_id, combo)] = _format_cell(results)
-
-    headers = ["map"] + [f"{n} uav {mode}" for n, mode in combos]
-    table = [headers]
-    for map_id in map_ids:
-        table.append(
-            [map_id] + [cells.get((map_id, combo), "-") for combo in combos]
-        )
-    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
+    (uavs, mode) combination. ``jobs`` holds every (map, uavs, mode)
+    combination, as ``_build_specs`` builds them, so every cell is filled."""
+    cells = {
+        (spec.map_id, (spec.n_uavs, spec.mode)): _format_cell(results)
+        for spec, results in jobs
+    }
+    combos = dict.fromkeys(combo for _, combo in cells)
+    table = [["map"] + [f"{n} uav {mode}" for n, mode in combos]]
+    for map_id in dict.fromkeys(map_id for map_id, _ in cells):
+        table.append([map_id] + [cells[map_id, combo] for combo in combos])
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     for row in table:
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
 
@@ -384,31 +379,25 @@ def cmd_run(args) -> int:
     written = _resolve_output_paths(options.output, specs[0].log_traces)
     jobs = list(zip(specs, run_sweep(specs, options.parallelism)))
 
-    rows = []
-    for spec, results in jobs:
-        rows.extend(results_rows(spec, results))
-    if specs[0].log_traces:
-        entries = []
-        for spec, results in jobs:
-            entries.extend(trace_entries(spec, results))
-
+    # The CSV and, with log_traces, its trace sidecar (zip stops at the paths
+    # resolved), each with its writer and the items each spec gives it.
     # Each file is written under a temporary name next to its target and
-    # renamed into place once both are complete, so an error part-way
+    # renamed into place once all are complete, so an error part-way
     # through leaves earlier output as it was, not a truncated file that
     # looks valid.
-    temps = [_temp_path(path) for path in written]
+    outputs = list(
+        zip(written, [(write_results_csv, results_rows), (write_traces, trace_entries)])
+    )
     try:
-        with open(temps[0], "w", encoding="utf-8", newline="") as handle:
-            write_results_csv(handle, rows)
-        if specs[0].log_traces:
-            with open(temps[1], "w", encoding="utf-8") as handle:
-                write_traces(handle, entries)
-        for temp, path in zip(temps, written):
-            os.replace(temp, path)
+        for path, (write, items) in outputs:
+            with open(_temp_path(path), "w", encoding="utf-8", newline="") as handle:
+                write(handle, [item for job in jobs for item in items(*job)])
+        for path, _ in outputs:
+            os.replace(_temp_path(path), path)
     except BaseException:
-        for temp in temps:
+        for path, _ in outputs:
             with contextlib.suppress(FileNotFoundError):
-                os.remove(temp)
+                os.remove(_temp_path(path))
         raise
 
     _print_summary(jobs)

@@ -22,7 +22,7 @@ concurrent experiment runs can safely share nothing but the map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from importlib import resources
 
@@ -261,9 +261,8 @@ def transition(
     dr, dc = ACTION_DELTAS[action]
     target = (row + dr, col + dc)
 
-    occupied = not allow_shared_cells and any(
-        pos == target for i, pos in enumerate(state.positions) if i != uav
-    )
+    # The mover is never on its own target, so any UAV there is another.
+    occupied = not allow_shared_cells and target in state.positions
     if not grid.is_free(*target) or occupied:
         kind = MoveKind.BLOCKED
         reward = BLOCKED_REWARD
@@ -288,13 +287,7 @@ def transition(
     per_uav = tuple(
         n + 1 if i == uav else n for i, n in enumerate(state.per_uav_actions)
     )
-    new_state = replace(
-        state,
-        positions=positions,
-        visited=visited,
-        per_uav_actions=per_uav,
-        global_step=state.global_step + 1,
-    )
+    new_state = SwarmState(positions, visited, per_uav, state.global_step + 1)
     return new_state, MoveOutcome(kind=kind, reward=reward)
 
 

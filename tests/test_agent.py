@@ -129,12 +129,12 @@ def test_memory_empty_sample_raises():
 
 def test_select_action_greedy():
     rng = np.random.default_rng(0)
-    assert select_action(np.array([1.0, 5.0, 2.0, 0.0]), 0.0, rng) == Action.EAST
+    assert select_action(lambda: np.array([1.0, 5.0, 2.0, 0.0]), 0.0, rng) == Action.EAST
 
 
 def test_select_action_tie_breaks_to_lowest_code():
     rng = np.random.default_rng(0)
-    assert select_action(np.array([7.0, 7.0, 1.0, 1.0]), 0.0, rng) == Action.NORTH
+    assert select_action(lambda: np.array([7.0, 7.0, 1.0, 1.0]), 0.0, rng) == Action.NORTH
 
 
 def test_select_action_uniform_when_always_exploring():
@@ -144,7 +144,7 @@ def test_select_action_uniform_when_always_exploring():
     counts = np.zeros(4)
     q = np.array([0.0, 100.0, 0.0, 0.0])  # argmax would always pick East
     for _ in range(10_000):
-        counts[select_action(q, 1.0, rng)] += 1
+        counts[select_action(lambda: q, 1.0, rng)] += 1
     chi2 = float((((counts - 2500.0) ** 2) / 2500.0).sum())
     assert chi2 < 3 + 3 * np.sqrt(6)
 
@@ -165,7 +165,7 @@ def test_select_action_uniform_when_always_exploring():
 def test_select_action_epsilon_validated():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        select_action(np.zeros(4), 1.5, rng)
+        select_action(lambda: np.zeros(4), 1.5, rng)
 
 
 # --- bellman target --------------------------------------------------------------

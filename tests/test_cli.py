@@ -3,6 +3,7 @@
 import codecs
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -667,3 +668,36 @@ def test_failed_write_leaves_earlier_output(tmp_path, monkeypatch, capsys):
     assert "disk full" in capsys.readouterr().err
     after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     assert after == before
+
+    # The first file, the CSV, failing leaves no temporary file either.
+    def failing_write_results_csv(handle, rows):
+        handle.write("map_id,")
+        raise OSError("disk full")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "write_results_csv", failing_write_results_csv)
+    assert main(["run", config, "--episodes", "2"]) == 2
+    assert "disk full" in capsys.readouterr().err
+    after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert after == before
+
+
+def test_missing_output_directory_at_write_exits_two(tmp_path, monkeypatch, capsys):
+    # An unwritable output is a runtime error whichever OSError the write
+    # raises, FileNotFoundError too, the type a bad map reference first raises.
+    config, _ = tiny_config(tmp_path, extra_run="log_traces = true\n")
+    out_dir = tmp_path / "out"
+    run_sweep = cli.run_sweep
+
+    def run_sweep_then_remove_output(specs, parallelism):
+        results = run_sweep(specs, parallelism)
+        shutil.rmtree(out_dir)
+        return results
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep_then_remove_output)
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    assert main(["run", config, "--output", str(out_dir / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory: ")
+    assert not out_dir.exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.ini", "tiny.txt"]
