@@ -58,22 +58,18 @@ OUTPUT_DIR_ENV = "SWARMCOVER_OUTPUT_DIR"
 TRACE_SUFFIX = ".traces.json"
 
 # Every config key is a field of ExperimentSpec or SweepOptions; the field
-# metadata gives its section, key name, parser, rule and help text.
-_FIELDS = [
-    f
+# metadata gives its section, key name, parser, rule and help text. This
+# index maps each (section, key) to its field, in table order.
+_SETTINGS = {
+    (f.metadata["section"], f.metadata["key"] or f.name): f
     for f in dataclasses.fields(ExperimentSpec) + dataclasses.fields(SweepOptions)
     if f.metadata
-]
-
-
-def _key(f: dataclasses.Field) -> str:
-    return f.metadata["key"] or f.name
-
-
-_KNOWN_KEYS = {
-    section: {_key(f) for f in _FIELDS if f.metadata["section"] == section}
-    for section in dict.fromkeys(f.metadata["section"] for f in _FIELDS)
 }
+
+
+def _flag(key: str) -> str:
+    """The command line option of the config key ``key``."""
+    return "--" + key.replace("_", "-")
 
 
 def _default_text(f: dataclasses.Field) -> str:
@@ -88,14 +84,14 @@ def _default_text(f: dataclasses.Field) -> str:
 
 
 def _help_text() -> str:
-    width = 2 + max(len(_key(f)) for f in _FIELDS)
+    width = 2 + max(len(key) for _, key in _SETTINGS)
     lines = ["configuration file (INI format):"]
-    for section in _KNOWN_KEYS:
+    for section in dict.fromkeys(section for section, _ in _SETTINGS):
         lines.append(f"  [{section}]")
         lines.extend(
-            f"    {_key(f):<{width}}{f.metadata['help']}{_default_text(f)}"
-            for f in _FIELDS
-            if f.metadata["section"] == section
+            f"    {key:<{width}}{f.metadata['help']}{_default_text(f)}"
+            for (in_section, key), f in _SETTINGS.items()
+            if in_section == section
         )
     lines += [
         "",
@@ -139,16 +135,15 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     run_p.add_argument("config", help="INI configuration file")
-    for f in _FIELDS:
+    for (_, key), f in _SETTINGS.items():
         if not f.metadata["flag"]:
             continue
-        key = _key(f)
         if isinstance(f.default, bool):
             takes = {"action": "store_true"}
         else:
             takes = {"metavar": key.upper()}
         run_p.add_argument(
-            "--" + key.replace("_", "-"),
+            _flag(key),
             dest=f.name,
             default=None,
             help=f"{f.metadata['help']} (overrides the file)",
@@ -253,13 +248,12 @@ def _read_settings(path: str, args) -> dict:
     def error(message: str, section: str | None, key: str) -> ConfigError:
         return ConfigError(f"{path} line {lines[section, key]}: {message}")
 
-    fields = {(f.metadata["section"], _key(f)): f for f in _FIELDS}
     settings = {}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in {known for known, _ in _SETTINGS}:
             raise error(f"unknown section [{section}]", None, section)
         for key, raw in parser.items(section):
-            f = fields.get((section, key))
+            f = _SETTINGS.get((section, key))
             if f is None:
                 raise error(f"unknown key {key!r} in [{section}]", section, key)
             if not raw.strip():
@@ -271,20 +265,17 @@ def _read_settings(path: str, args) -> dict:
             except ValueError as exc:
                 raise error(f"{key}: {exc}", section, key) from exc
 
-    for f in _FIELDS:
-        key = _key(f)
+    for (section, key), f in _SETTINGS.items():
         flag = getattr(args, f.name, None)
         if isinstance(flag, str):
             try:
                 flag = _parse(f, flag)
             except ValueError as exc:
-                raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from exc
+                raise ConfigError(f"{_flag(key)}: {exc}") from exc
         if flag is not None:
             settings[f.name] = flag
         elif f.name not in settings and f.default is dataclasses.MISSING:
-            raise ConfigError(
-                f"{path}: missing required key {key!r} in [{f.metadata['section']}]"
-            )
+            raise ConfigError(f"{path}: missing required key {key!r} in [{section}]")
     return settings
 
 
@@ -293,7 +284,9 @@ def _build_specs(settings: dict) -> list[ExperimentSpec]:
     the order the config lists them; every other setting goes into every
     spec."""
     sweeps = {
-        f.name: settings.get(f.name, (f.default,)) for f in _FIELDS if f.metadata["sweep"]
+        f.name: settings.get(f.name, (f.default,))
+        for f in _SETTINGS.values()
+        if f.metadata["sweep"]
     }
     fixed = {name: value for name, value in settings.items() if name not in sweeps}
     grids, spellings = {}, {}
@@ -459,9 +452,10 @@ def cmd_render(args) -> int:
         raise RuntimeFailure(
             f"no trace sidecar at {trace_path} (was the run made with log_traces?): {exc}"
         ) from exc
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
         # A truncated or hand-edited sidecar. MapError is a ValueError, so a
-        # bad map text is a runtime error here, not a configuration error.
+        # bad map text is a runtime error here, not a configuration error;
+        # a map that is not text at all raises AttributeError.
         raise RuntimeFailure(
             f"malformed trace sidecar {trace_path}: {type(exc).__name__}: {exc}"
         ) from exc

@@ -9,8 +9,8 @@ sequential SGD steps up to rounding. It returns the loss its steps
 descend, the mean squared TD error at the parameters each step starts
 from, so a pass evaluates no sample twice. It writes into scratch arrays
 kept per layer-1 weight shape (the stacked inputs, their pre-activations,
-each sample's step and the summed W1 and b1 steps), so ``train_step`` is
-neither re-entrant nor thread-safe.
+each sample's step and the summed W1 step), so ``train_step`` is neither
+re-entrant nor thread-safe.
 
 Q-values stay linear (unbounded) so they can regress onto reward-scale
 targets.
@@ -167,19 +167,17 @@ def forward(net: QNetwork, observation: np.ndarray) -> np.ndarray:
 class _Scratch:
     """The arrays a replay pass writes into, for one W1 shape and up to
     ``capacity`` samples. Kept between passes, so that a pass allocates
-    only small temporaries: its (k, 2k) Gram matrix, a few vectors and
-    numpy's broadcast buffer for the layer-1 bias."""
+    only small temporaries: its (k, 2k) Gram matrix, a few vectors, the b1
+    step among them, and numpy's broadcast buffer for the layer-1 bias."""
 
     def __init__(self, capacity: int, hidden: int, inputs: int) -> None:
         self.capacity = capacity
         self.vectors = np.empty((2 * capacity, inputs))  # observations, then next
-        self.z = np.empty((2 * capacity, hidden))  # their pre-activations
+        self.z = np.empty((2 * capacity, hidden))  # their pre-activations, then ReLUs
         self.steps = np.empty((capacity, hidden))  # lr * grad_z1 of each sample
         self.correction = np.empty((2, hidden))
-        self.relu = np.empty((2, hidden))
         self.active = np.empty(hidden, dtype=bool)  # one sample's z1 > 0, as 1 or 0
         self.w1_step = np.empty((hidden, inputs))
-        self.b1_step = np.empty(hidden)
 
 
 # One grow-only set per W1 shape, its capacity a power of two.
@@ -271,24 +269,24 @@ def train_step(
         gram_t = gram.T
         steps = scratch.steps[:k]
         correction = scratch.correction[:rows_per_sample]
-        relu = scratch.relu[:rows_per_sample]
         active = scratch.active
         active_01 = active.view(np.uint8)
         step_bits = steps.view(np.int64)
         total = 0.0
         for i in range(k):
             # Row i of z, then row k + i when next observations are given,
-            # corrected in place for the steps before this one.
+            # corrected in place for the steps before this one, then taken
+            # through the ReLU in place: no later step reads them.
             rows = z[i::k]
             if i:
                 np.matmul(gram_t[i::k, :i], steps[:i], out=correction)
                 rows -= correction
-            np.maximum(rows, 0.0, out=relu)
-            hidden = relu[0]
+            np.maximum(rows, 0.0, out=rows)
+            hidden = rows[0]
             if next_observations is None:
                 target = targets[i]
             else:
-                target = targets(i, w2 @ relu[1] + b2)
+                target = targets(i, w2 @ rows[1] + b2)
             action = int(actions[i])
             w2a, b2a = w2[action], float(b2[action])
             residual = float(w2a @ hidden) + b2a - target
@@ -314,7 +312,7 @@ def train_step(
         if not np.isfinite(steps).all():
             raise NumericalError("non-finite gradient in train_step")
         w1 -= np.matmul(steps.T, x, out=scratch.w1_step)
-        b1 -= np.sum(steps, axis=0, out=scratch.b1_step)
+        b1 -= steps.sum(axis=0)
     loss = float(total / k)
     if not math.isfinite(loss):
         raise NumericalError("non-finite loss in train_step")

@@ -363,7 +363,8 @@ def load_bundled_map(map_id: str) -> GridMap:
 
 
 def resolve_map(name_or_path: str) -> GridMap:
-    """Look up a bundled map by id, or parse a map file from disk."""
+    """Look up a bundled map by id, or parse a map file from disk. A map
+    file's MapError names the file."""
     if name_or_path in BUNDLED_MAP_NOTES:
         return load_bundled_map(name_or_path)
     try:
@@ -373,4 +374,7 @@ def resolve_map(name_or_path: str) -> GridMap:
         raise FileNotFoundError(
             f"{name_or_path!r} is neither a bundled map id nor a readable map file"
         ) from exc
-    return parse_map(text)
+    try:
+        return parse_map(text)
+    except MapError as exc:
+        raise MapError(f"{name_or_path}: {exc}") from exc

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmcover import cli
-from swarmcover.cli import _KNOWN_KEYS, main
+from swarmcover.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -249,12 +249,13 @@ OUT_OF_RANGE = {
 
 
 def test_every_rule_has_an_out_of_range_case():
-    assert set(OUT_OF_RANGE) == {cli._key(f) for f in cli._FIELDS if f.metadata["rule"]}
+    ruled = {key for (_, key), f in cli._SETTINGS.items() if f.metadata["rule"]}
+    assert set(OUT_OF_RANGE) == ruled
 
 
 @pytest.mark.parametrize("key, value", OUT_OF_RANGE.items())
 def test_out_of_range_value_reports_line_and_key(tmp_path, capsys, key, value):
-    f = next(f for f in cli._FIELDS if cli._key(f) == key)
+    f = next(f for (_, known), f in cli._SETTINGS.items() if known == key)
     map_path = write(tmp_path, "tiny.txt", TINY_MAP)
     text, line = f"[run]\nmaps = {map_path}\n", 3
     if f.metadata["section"] == "training":
@@ -377,6 +378,16 @@ def test_missing_map_names_path(tmp_path, capsys):
     assert "/no/such/map.txt" in capsys.readouterr().err
 
 
+def test_bad_map_file_names_itself(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_sweep", None)  # nothing may train
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "trail.txt", "..\n..\n\n")  # ends in a blank line
+    config = write(tmp_path, "run.ini", "[run]\nmaps = trail.txt\n")
+    assert main(["run", config]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: trail.txt: line 3 has 0 characters, expected 2\n"
+
+
 def test_negative_seed_rejected(tmp_path, capsys):
     map_path = write(tmp_path, "tiny.txt", TINY_MAP)
     config = write(tmp_path, "bad.ini", f"[run]\nmaps = {map_path}\nseeds = 1, -1\n")
@@ -463,18 +474,17 @@ def test_help_prints_defaults(argv, capsys):
 def test_readme_reference_lists_every_config_key():
     text = README.read_text(encoding="utf-8")
     reference = text[text.index("## CLI reference") :]
-    fields = {(f.metadata["section"], cli._key(f)): f for f in cli._FIELDS}
-    documented = {}
+    documented = set()
     row = r"^\| (run|training) \| ([^|]+) \|[^|]+\| ([^|]+) \|$"
     for section, keys, defaults in re.findall(row, reference, re.M):
         keys = [key.strip() for key in keys.split("/")]
-        documented.setdefault(section, set()).update(keys)
+        documented.update((section, key) for key in keys)
         if defaults in ("required", "100 × free cells"):
             continue  # no literal default to compare
         for key, default in zip(keys, defaults.split("/"), strict=True):
-            expected = cli._default_text(fields[section, key])
+            expected = cli._default_text(cli._SETTINGS[section, key])
             assert f" (default: {default.strip()})" == expected, key
-    assert documented == _KNOWN_KEYS
+    assert documented == cli._SETTINGS.keys()
 
 
 # --- render -------------------------------------------------------------------------
@@ -568,6 +578,10 @@ def garble_map(entry):
     entry["map"] = entry["map"].replace("#", "x")
 
 
+def map_not_text(entry):
+    entry["map"] = 5
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -581,6 +595,7 @@ def garble_map(entry):
         (truncate_moves, "not enough values to unpack"),
         (move_absent_uav, "UAV index 1 out of range"),
         (garble_map, "unknown character 'x'"),
+        (map_not_text, "AttributeError: 'int' object has no attribute 'splitlines'"),
     ],
 )
 def test_render_refuses_trace_that_does_not_replay(tmp_path, capsys, edit, message):

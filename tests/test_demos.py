@@ -1,5 +1,5 @@
 """Smoke test of the demos: each runs to the end against the package in
-``src``. Demo 04 trains several swarms for 30-50 s and is left out."""
+``src``."""
 
 import os
 import subprocess
@@ -27,6 +27,7 @@ def run_demo(name: str) -> str:
         ("01_environment_tour.py", ""),
         ("02_gradient_check.py", ""),
         ("03_train_single_uav.py", "best covering episode"),
+        ("04_local_vs_global.py", "mean over covering seeds"),
     ],
 )
 def test_demo_runs(name, expected):
