@@ -74,9 +74,6 @@ class ReplayMemory:
     def __len__(self) -> int:
         return len(self._buffer)
 
-    def __iter__(self):
-        return iter(self._buffer)
-
     def append(self, experience: Experience) -> None:
         self._buffer.append(experience)
 

@@ -46,12 +46,11 @@ from .gridworld import (
     UNVISITED_CHAR,  # perfbench/run.py reads it as cli.UNVISITED_CHAR
     MapError,
     draw_state,
-    initial_swarm_state,
     is_coverage_complete,
     load_bundled_map,
     parse_map,
+    replay,
     resolve_map,
-    transition,
 )
 
 OUTPUT_DIR_ENV = "SWARMCOVER_OUTPUT_DIR"
@@ -308,10 +307,10 @@ def _build_specs(settings: dict) -> list[ExperimentSpec]:
     return specs
 
 
-def _resolve_output_paths(output: str, log_traces: bool) -> list[str]:
-    """The files a sweep writes: the results CSV at ``output`` and, with
-    ``log_traces``, its trace sidecar. Makes their directory and refuses an
-    empty path or a directory, so that either fails before training."""
+def _resolve_output_paths(output: str) -> list[str]:
+    """The results CSV at ``output`` and its trace sidecar. Makes their
+    directory and refuses an empty path or a directory at either, so that
+    each fails before training."""
     base_dir = os.environ.get(OUTPUT_DIR_ENV)
     if base_dir and not os.path.isabs(output):
         output = os.path.join(base_dir, output)
@@ -320,7 +319,7 @@ def _resolve_output_paths(output: str, log_traces: bool) -> list[str]:
     parent = os.path.dirname(output)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    paths = [output] + ([output + TRACE_SUFFIX] if log_traces else [])
+    paths = [output, output + TRACE_SUFFIX]
     for path in paths:
         if os.path.isdir(path):
             raise RuntimeFailure(f"output path {path} is a directory")
@@ -368,23 +367,28 @@ def cmd_run(args) -> int:
         *(settings.pop(f.name, f.default) for f in dataclasses.fields(SweepOptions))
     )
     specs = _build_specs(settings)
-    # log_traces is the same in every spec.
-    written = _resolve_output_paths(options.output, specs[0].log_traces)
+    paths = _resolve_output_paths(options.output)
     jobs = list(zip(specs, run_sweep(specs, options.parallelism)))
 
-    # The CSV and, with log_traces, its trace sidecar (zip stops at the paths
-    # resolved), each with its writer and the items each spec gives it.
+    # The CSV and, with log_traces (the same in every spec), its trace
+    # sidecar, each with its writer and the items each spec gives it.
     # Each file is written under a temporary name next to its target and
     # renamed into place once all are complete, so an error part-way
     # through leaves earlier output as it was, not a truncated file that
     # looks valid.
-    outputs = list(
-        zip(written, [(write_results_csv, results_rows), (write_traces, trace_entries)])
-    )
+    writers = [(write_results_csv, results_rows), (write_traces, trace_entries)]
+    outputs = list(zip(paths, writers if specs[0].log_traces else writers[:1]))
+    removed = []
     try:
         for path, (write, items) in outputs:
             with open(_temp_path(path), "w", encoding="utf-8", newline="") as handle:
                 write(handle, [item for job in jobs for item in items(*job)])
+        # A sidecar this run does not write belongs to an earlier run. It goes
+        # before the renames, so no failure leaves it next to the new CSV.
+        for path in paths[len(outputs):]:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+                removed.append(path)
         for path, _ in outputs:
             os.replace(_temp_path(path), path)
     except BaseException:
@@ -394,34 +398,11 @@ def cmd_run(args) -> int:
         raise
 
     _print_summary(jobs)
-    for path in written:
+    for path, _ in outputs:
         print(f"wrote {path}")
+    for path in removed:
+        print(f"removed stale {path}")
     return 0
-
-
-def _render_entry(entry: dict) -> str:
-    """Replay a trace entry and draw its final state with
-    ``gridworld.draw_state``, which sets the glyphs.
-
-    Raises RuntimeFailure unless the replay is the recorded best episode:
-    exactly ``total_actions`` moves, the last of which completes coverage.
-    """
-    grid = parse_map(entry["map"])
-    state = initial_swarm_state(grid, entry["n_uavs"])
-    moves = entry["moves"]
-    if len(moves) != entry["total_actions"]:
-        raise RuntimeFailure(
-            f"trace has {len(moves)} moves but records {entry['total_actions']} actions"
-        )
-    for made, (uav, action) in enumerate(moves):
-        if is_coverage_complete(grid, state):
-            raise RuntimeFailure(
-                f"trace covers the map after {made} of its {len(moves)} moves"
-            )
-        state, _ = transition(grid, state, uav, action, entry["allow_shared_cells"])
-    if not is_coverage_complete(grid, state):
-        raise RuntimeFailure("trace does not cover the map when replayed")
-    return draw_state(grid, state)
 
 
 def cmd_render(args) -> int:
@@ -447,7 +428,22 @@ def cmd_render(args) -> int:
             f"{entry['mode']}  best episode {entry['best_episode']}: "
             f"{entry['total_actions']} actions"
         )
-        picture = _render_entry(entry)
+        # The replay must be the recorded best episode: exactly total_actions
+        # moves, the last of which completes coverage.
+        moves = entry["moves"]
+        if len(moves) != entry["total_actions"]:
+            raise RuntimeFailure(
+                f"trace has {len(moves)} moves but records {entry['total_actions']} actions"
+            )
+        grid = parse_map(entry["map"])
+        state = replay(grid, entry["n_uavs"], moves, entry["allow_shared_cells"])
+        if state.global_step < len(moves):
+            raise RuntimeFailure(
+                f"trace covers the map after {state.global_step} of its {len(moves)} moves"
+            )
+        if not is_coverage_complete(grid, state):
+            raise RuntimeFailure("trace does not cover the map when replayed")
+        picture = draw_state(grid, state)
     except OSError as exc:
         raise RuntimeFailure(
             f"no trace sidecar at {trace_path} (was the run made with log_traces?): {exc}"

@@ -326,6 +326,19 @@ def is_coverage_complete(grid: GridMap, state: SwarmState) -> bool:
     return bool(np.all(state.visited | grid.obstacles))
 
 
+def replay(
+    grid: GridMap, n_uavs: int, moves, allow_shared_cells: bool = False
+) -> SwarmState:
+    """Make the ``(uav, action)`` moves from the start state with ``transition``
+    until coverage is complete; the state's ``global_step`` counts the moves made."""
+    state = initial_swarm_state(grid, n_uavs)
+    for uav, action in moves:
+        if is_coverage_complete(grid, state):
+            break
+        state, _ = transition(grid, state, uav, action, allow_shared_cells)
+    return state
+
+
 def draw_state(grid: GridMap, state: SwarmState) -> str:
     """Picture of a swarm state, one line per map row, with no final
     newline: obstacles as in a map file, UAV i as the digit

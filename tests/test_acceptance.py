@@ -139,7 +139,7 @@ def test_replay_law(capsys):
             memory.append(make_experience(marker=i))
             markers.append(float(i))
         ok = ok and len(memory) == min(60, total)
-        ok = ok and [e.reward for e in memory] == markers[-60:]
+        ok = ok and [e.reward for e in memory._buffer] == markers[-60:]
     report(capsys, "replay-law", ok)
 
 

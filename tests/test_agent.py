@@ -93,7 +93,7 @@ def test_memory_fifo_law_random_sequences():
             inserted.append(exp)
             memory.append(exp)
         assert len(memory) == min(60, total)
-        assert [e.reward for e in memory] == [e.reward for e in inserted[-60:]]
+        assert [e.reward for e in memory._buffer] == [e.reward for e in inserted[-60:]]
 
 
 def test_memory_evicts_oldest_at_capacity():
@@ -101,7 +101,7 @@ def test_memory_evicts_oldest_at_capacity():
     for i in range(61):
         memory.append(make_experience(marker=i))
     assert len(memory) == 60
-    rewards = [e.reward for e in memory]
+    rewards = [e.reward for e in memory._buffer]
     assert rewards[0] == 1.0  # insert 0 evicted
     assert rewards[-1] == 60.0
 
@@ -210,7 +210,7 @@ def test_global_mode_shared_model_interleaves():
     for step in range(4):
         for uav in range(2):
             controller.memory_for(uav).append(make_experience(marker=uav, size=27))
-    assert [e.reward for e in controller.memories[0]] == [0, 1, 0, 1, 0, 1, 0, 1]
+    assert [e.reward for e in controller.memories[0]._buffer] == [0, 1, 0, 1, 0, 1, 0, 1]
 
 
 def test_record_respects_capacity():
@@ -219,7 +219,7 @@ def test_record_respects_capacity():
     for i in range(61):
         controller.memory_for(0).append(make_experience(marker=i, size=27))
     assert len(controller.memory_for(0)) == 60
-    assert next(iter(controller.memory_for(0))).reward == 1.0
+    assert controller.memory_for(0)._buffer[0].reward == 1.0
 
 
 # --- training from memory ------------------------------------------------------------
@@ -296,7 +296,7 @@ def test_step_swarm_one_experience_per_uav():
     observation = controller.observe(state)
     state, experience = step_swarm(state, 0, observation, controller, 0.0, rng)
     assert isinstance(experience, Experience)
-    assert list(controller.memory_for(0)) == [experience]
+    assert list(controller.memory_for(0)._buffer) == [experience]
     assert not experience.terminal
     assert state.global_step == 1
 
@@ -319,8 +319,8 @@ def test_step_swarm_stops_after_completing_move():
     controller, record = northward_episode(grid, 3)
     assert record.covered
     assert record.moves == ((0, Action.NORTH), (1, Action.NORTH))
-    assert [exp.terminal for exp in controller.memory_for(0)] == [False]
-    assert [exp.terminal for exp in controller.memory_for(1)] == [True]
+    assert [exp.terminal for exp in controller.memory_for(0)._buffer] == [False]
+    assert [exp.terminal for exp in controller.memory_for(1)._buffer] == [True]
     assert record.per_uav_actions == (1, 1, 0)
 
 

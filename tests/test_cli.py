@@ -2,6 +2,7 @@
 
 import codecs
 import json
+import os
 import re
 import shutil
 from pathlib import Path
@@ -695,6 +696,44 @@ def test_failed_write_leaves_earlier_output(tmp_path, monkeypatch, capsys):
     assert "disk full" in capsys.readouterr().err
     after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     assert after == before
+
+
+def test_untraced_run_removes_stale_sidecar(tmp_path, monkeypatch, capsys):
+    csv_path, map_path = run_with_traces(tmp_path)
+    sidecar = csv_path + cli.TRACE_SUFFIX
+    untraced, _ = tiny_config(tmp_path, name="untraced.ini")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    # A removal that fails is a failed write: exit 2, earlier output kept.
+    remove = os.remove
+
+    def failing_remove(path):
+        if path == sidecar:
+            raise PermissionError(f"cannot remove {path}")
+        remove(path)
+
+    monkeypatch.setattr(os, "remove", failing_remove)
+    assert main(["run", untraced, "--episodes", "2"]) == 2
+    assert "cannot remove" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    monkeypatch.undo()
+
+    assert main(["run", untraced, "--episodes", "2"]) == 0
+    assert capsys.readouterr().out.endswith(
+        f"wrote {csv_path}\nremoved stale {sidecar}\n"
+    )
+    assert not os.path.exists(sidecar)
+    assert main(["render", csv_path, "--map", map_path, "--seed", "1"]) == 2
+    assert "no trace sidecar" in capsys.readouterr().err
+
+
+def test_untraced_run_refuses_directory_at_sidecar_path(tmp_path, monkeypatch, capsys):
+    config, _ = tiny_config(tmp_path)
+    (tmp_path / "results.csv.traces.json").mkdir()
+    monkeypatch.setattr(cli, "run_sweep", lambda specs, parallelism: pytest.fail("trained"))
+    assert main(["run", config]) == 2
+    assert "results.csv.traces.json is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_missing_output_directory_at_write_exits_two(tmp_path, monkeypatch, capsys):

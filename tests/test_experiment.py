@@ -28,11 +28,10 @@ from swarmcover.experiment import (
 )
 from swarmcover.gridworld import (
     encode_observation,
-    initial_swarm_state,
     is_coverage_complete,
     load_bundled_map,
     parse_map,
-    transition,
+    replay,
 )
 
 TINY = parse_map("..\n..")
@@ -372,11 +371,10 @@ def test_trace_entries_replay_to_coverage():
     assert len(entries) == sum(1 for r in results if r.best_total_actions is not None)
     for entry in entries:
         grid = parse_map(entry["map"])
-        state = initial_swarm_state(grid, entry["n_uavs"])
-        for uav, action in entry["moves"]:
-            state, _ = transition(grid, state, uav, action, entry["allow_shared_cells"])
+        moves = entry["moves"]
+        state = replay(grid, entry["n_uavs"], moves, entry["allow_shared_cells"])
         assert is_coverage_complete(grid, state)
-        assert state.global_step == entry["total_actions"]
+        assert state.global_step == len(moves) == entry["total_actions"]
 
 
 def test_trace_entries_empty_without_logging():

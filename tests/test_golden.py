@@ -12,11 +12,16 @@ with traces on. Three sha256 digests are pinned in ``golden.json``:
   so only this digest sees their moves.
 
 numpy's matrix-vector and matrix-matrix products go through OpenBLAS,
-which with DYNAMIC_ARCH picks its kernels for the CPU at run time and may
-round differently on another one. ``golden.json`` therefore also records the
-environment the digests were made in, and a failure prints it next to the
-current one: a different CPU or BLAS points to rounding, the same one to a
-regression.
+which with DYNAMIC_ARCH picks its kernels for the CPU at run time. Kernels
+round differently, and the trained weights differ in their last bits from
+one to another, but an action changes only when a greedy pick is close to
+a tie. ``test_golden_digests_hold_under_other_blas_kernels`` forces two
+other kernels the CPU supports and checks the digests under each; it also
+reports the smallest relative gap between the top two Q-values over the
+greedy picks, which was 1.5e-4 against a rounding of about 1e-13.
+``golden.json`` also records the environment the digests were made in, and
+a failure prints it next to the current one: a different CPU or BLAS points
+to rounding, the same one to a regression.
 
 Print fresh digests and this environment's fingerprint, from the
 repository root:
@@ -29,12 +34,16 @@ import ctypes
 import hashlib
 import io
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from swarmcover.densenet import _openblas_functions
+from swarmcover.densenet import _openblas_functions, forward
 from swarmcover.experiment import (
     ExperimentSpec,
     results_rows,
@@ -138,6 +147,73 @@ def test_golden_digests():
         "the same environment means a change in behaviour; a different CPU "
         "or BLAS may only round differently"
     )
+
+
+# OpenBLAS kernels a test can force with OPENBLAS_CORETYPE, each with the
+# /proc/cpuinfo flags it needs.
+KERNEL_FLAGS = {
+    "Haswell": {"avx2", "fma"},
+    "Sandybridge": {"avx"},
+    "Nehalem": {"sse4_2"},
+}
+
+
+def _other_kernels() -> list[str]:
+    """Two kernels, not the one in use, that this CPU supports; skips the
+    test when there are not two or the BLAS cannot be switched."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"OpenBLAS kernels are forced on x86-64 only, not {platform.machine()}")
+    if _openblas_functions("get_config") is None:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    config = _openblas_config().split()
+    if "DYNAMIC_ARCH" not in config:
+        pytest.skip(f"OpenBLAS is not built with DYNAMIC_ARCH: {' '.join(config)}")
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            flags = next(line for line in handle if line.startswith("flags")).split()
+    except (OSError, StopIteration):
+        pytest.skip("no CPU flags in /proc/cpuinfo")
+    kernels = [
+        kernel for kernel, needs in KERNEL_FLAGS.items()
+        if kernel not in config and needs <= set(flags)
+    ]
+    if len(kernels) < 2:
+        pytest.skip(f"fewer than two other kernels run on this CPU: {kernels}")
+    return kernels[:2]
+
+
+def test_golden_digests_hold_under_other_blas_kernels(monkeypatch, record_property):
+    """The pinned digests under two forced OpenBLAS kernels, each run in a
+    fresh interpreter, since OpenBLAS reads OPENBLAS_CORETYPE when it loads."""
+    kernels = _other_kernels()
+    gaps = []
+
+    def spying_forward(net, observation):
+        qvalues = forward(net, observation)
+        second, top = np.sort(qvalues)[-2:]
+        gaps.append((top - second) / abs(top))
+        return qvalues
+
+    monkeypatch.setattr("swarmcover.agent.forward", spying_forward)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
+    assert golden_digests() == golden
+    gap = min(gaps)
+    record_property("smallest_greedy_q_gap", gap)
+    print(f"smallest relative gap of the top two Q-values: {gap:.3g} "
+          f"over {len(gaps)} greedy picks")
+
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    for kernel in kernels:
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve())],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        run = json.loads(done.stdout)
+        assert kernel in run["fingerprint"]["openblas"].split(), run["fingerprint"]
+        assert run["digests"] == golden, f"digests differ under the {kernel} kernel"
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from swarmcover.gridworld import (
     load_bundled_map,
     new_cell_reward,
     parse_map,
+    replay,
     resolve_map,
     start_positions,
     transition,
@@ -382,6 +383,34 @@ def test_initial_state_pre_visits_starts():
     assert int(np.count_nonzero(state.visited)) == 2
     assert state.per_uav_actions == (0, 0)
     assert state.global_step == 0
+
+
+# --- replay ------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(walks())
+def test_replay_is_the_walk_cut_at_first_coverage(walk):
+    grid, n_uavs, shared, moves = walk
+    states = [initial_swarm_state(grid, n_uavs)]
+    for uav, action in moves:
+        states.append(transition(grid, states[-1], uav, action, shared)[0])
+    expected = next((s for s in states if is_coverage_complete(grid, s)), states[-1])
+    state = replay(grid, n_uavs, moves, shared)
+    assert state.positions == expected.positions
+    assert (state.visited == expected.visited).all()
+    assert state.per_uav_actions == expected.per_uav_actions
+    assert state.global_step == expected.global_step
+
+
+def test_replay_makes_no_move_after_coverage():
+    # Two moves cover the map; the third names a UAV the swarm does not have.
+    grid = parse_map("..\n..")
+    moves = [(0, Action.SOUTH), (1, Action.SOUTH), (2, Action.EAST)]
+    state = replay(grid, 2, moves)
+    assert is_coverage_complete(grid, state)
+    assert state.global_step == 2
+    assert state.per_uav_actions == (1, 1)
 
 
 # --- drawing -----------------------------------------------------------------
