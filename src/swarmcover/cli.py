@@ -12,7 +12,8 @@ Three subcommands, all thin wrappers over the library:
 Exit codes: 0 success, 1 configuration error (bad flags, bad config
 file, missing or invalid map), 2 runtime error (a missing or malformed
 trace sidecar, no matching trace, a trace that does not replay to its
-recorded result, output files unwritable).
+recorded result, output files unwritable or naming an input file, a
+worker process that died).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import itertools
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 from .agent import MODES
 from .experiment import (
@@ -106,7 +108,7 @@ def _help_text() -> str:
 
 class RuntimeFailure(RuntimeError):
     """Errors past configuration: missing or inconsistent traces,
-    unwritable output."""
+    unwritable output, output that would replace an input."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,7 +174,7 @@ def main(argv=None) -> int:
     except (ConfigError, MapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeFailure, OSError, ArithmeticError) as exc:
+    except (RuntimeFailure, OSError, ArithmeticError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -307,10 +309,10 @@ def _build_specs(settings: dict) -> list[ExperimentSpec]:
     return specs
 
 
-def _resolve_output_paths(output: str) -> list[str]:
+def _resolve_output_paths(output: str, inputs: list[str]) -> list[str]:
     """The results CSV at ``output`` and its trace sidecar. Makes their
-    directory and refuses an empty path or a directory at either, so that
-    each fails before training."""
+    directory and refuses an empty path, or a directory or one of the
+    ``inputs`` files at either, so that each fails before training."""
     base_dir = os.environ.get(OUTPUT_DIR_ENV)
     if base_dir and not os.path.isabs(output):
         output = os.path.join(base_dir, output)
@@ -323,6 +325,9 @@ def _resolve_output_paths(output: str) -> list[str]:
     for path in paths:
         if os.path.isdir(path):
             raise RuntimeFailure(f"output path {path} is a directory")
+        for source in inputs:  # however either path is spelled or linked
+            if os.path.exists(path) and os.path.samefile(path, source):
+                raise RuntimeFailure(f"output path {path} is the input file {source}")
     return paths
 
 
@@ -367,7 +372,8 @@ def cmd_run(args) -> int:
         *(settings.pop(f.name, f.default) for f in dataclasses.fields(SweepOptions))
     )
     specs = _build_specs(settings)
-    paths = _resolve_output_paths(options.output)
+    map_files = [spec.map_id for spec in specs if spec.map_id not in BUNDLED_MAP_NOTES]
+    paths = _resolve_output_paths(options.output, [args.config, *map_files])
     jobs = list(zip(specs, run_sweep(specs, options.parallelism)))
 
     # The CSV and, with log_traces (the same in every spec), its trace

@@ -218,14 +218,18 @@ class SweepOptions:
 
 @dataclass(frozen=True)
 class EpisodeRecord:
-    """One episode's outcome; ``moves`` holds (uav, action) pairs when
-    trace logging is on, in the exact order the moves were made."""
+    """One episode's outcome; ``total_actions``, its score, is the sum of
+    ``per_uav_actions``. ``moves`` holds (uav, action) pairs when trace
+    logging is on, in the exact order the moves were made."""
 
     episode: int
-    total_actions: int
     covered: bool
     per_uav_actions: tuple[int, ...]
     moves: tuple[tuple[int, int], ...] | None = None
+
+    @property
+    def total_actions(self) -> int:
+        return sum(self.per_uav_actions)
 
 
 @dataclass(frozen=True)
@@ -281,7 +285,6 @@ def run_episode(
             moves.append((uav, int(experience.action)))
     return EpisodeRecord(
         episode=episode_index,
-        total_actions=state.global_step,
         covered=is_coverage_complete(grid, state),
         per_uav_actions=state.per_uav_actions,
         moves=tuple(moves) if spec.log_traces else None,

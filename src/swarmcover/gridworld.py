@@ -76,17 +76,18 @@ class MoveOutcome:
     reward: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridMap:
     """Immutable obstacle grid plus optional designated start cells.
 
     ``obstacles`` is a rows x cols boolean array (True = obstacle).
     ``starts`` holds the coordinates marked with digits in the map file,
-    ordered by digit; empty when the file used none.
+    ordered by digit; empty when the file used none. Grids compare and
+    hash by identity, as an array has no single truth value.
     """
 
-    rows: int
-    cols: int
+    rows: int  # the shape of ``obstacles``, kept as fields: parse_map, their
+    cols: int  # only producer, sets all three from the same lines
     obstacles: np.ndarray
     starts: tuple[tuple[int, int], ...] = ()
 
@@ -113,23 +114,26 @@ class GridMap:
         return "".join("".join(row) + "\n" for row in cells)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwarmState:
     """Positions, visited mask and action counters for the whole swarm.
 
     Treated as immutable: ``transition`` builds a new state instead of
     editing in place. ``per_uav_actions[i]`` equals the length of UAV i's
-    path so far; ``global_step`` is the sum over all UAVs.
+    path so far; ``global_step`` is their sum. States compare by identity.
     """
 
     positions: tuple[tuple[int, int], ...]
     visited: np.ndarray
     per_uav_actions: tuple[int, ...]
-    global_step: int
 
     @property
     def n_uavs(self) -> int:
         return len(self.positions)
+
+    @property
+    def global_step(self) -> int:
+        return sum(self.per_uav_actions)
 
 
 def parse_map(text: str) -> GridMap:
@@ -218,12 +222,7 @@ def initial_swarm_state(grid: GridMap, n_uavs: int) -> SwarmState:
     for r, c in positions:
         visited[r, c] = True
     visited.setflags(write=False)
-    return SwarmState(
-        positions=positions,
-        visited=visited,
-        per_uav_actions=(0,) * n_uavs,
-        global_step=0,
-    )
+    return SwarmState(positions=positions, visited=visited, per_uav_actions=(0,) * n_uavs)
 
 
 def new_cell_reward(rows: int, cols: int, non_visited_before_move: int) -> float:
@@ -287,7 +286,7 @@ def transition(
     per_uav = tuple(
         n + 1 if i == uav else n for i, n in enumerate(state.per_uav_actions)
     )
-    new_state = SwarmState(positions, visited, per_uav, state.global_step + 1)
+    new_state = SwarmState(positions, visited, per_uav)
     return new_state, MoveOutcome(kind=kind, reward=reward)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -664,6 +665,41 @@ def test_unusable_output_path_fails_before_training(tmp_path, monkeypatch, capsy
     assert main(["run", config, "--output", ""]) == 2
     assert trained == []
     assert "output path is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "maps, output, source",
+    [
+        ("tiny.txt", "run.ini", "run.ini"),  # the config file
+        ("m.txt", "./m.txt", "m.txt"),  # a map, spelled another way
+        ("out.csv.traces.json", "out.csv", "out.csv.traces.json"),  # untraced: the stale sidecar
+        ("m.txt", "hard.csv", "m.txt"),  # a hard link to a map
+    ],
+)
+def test_output_never_replaces_an_input(tmp_path, monkeypatch, capsys, maps, output, source):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    (tmp_path / maps).write_text(TINY_MAP)
+    (tmp_path / "run.ini").write_text(f"[run]\nmaps = {maps}\noutput = {output}\nseeds = 1\n")
+    if output == "hard.csv":
+        os.link(maps, output)
+    before = (tmp_path / source).read_bytes()
+    monkeypatch.setattr(cli, "run_sweep", lambda specs, parallelism: pytest.fail("trained"))
+    assert main(["run", "run.ini"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output path {output}") and err.endswith(f"input file {source}\n")
+    assert (tmp_path / source).read_bytes() == before
+
+
+def test_dead_worker_exits_two(tmp_path, monkeypatch, capsys):
+    config, _ = tiny_config(tmp_path)
+
+    def run_sweep(specs, parallelism):
+        raise BrokenProcessPool("a worker process was killed")
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    assert main(["run", config]) == 2
+    assert capsys.readouterr().err == "error: a worker process was killed\n"
 
 
 # --- atomic output ----------------------------------------------------------------

@@ -228,6 +228,20 @@ def test_train_step_overflowing_loss_raises(target, finite_losses, error):
         train_step(net, x, 0, target, 1e-9)
 
 
+def test_step_overflow_at_an_inactive_unit_is_exactly_zero():
+    """Unit 1 is off at x, and its huge W2 weight makes its step overflow.
+    The ReLU mask must zero that step to +0.0, where a float multiply by
+    the mask would give inf * 0 = NaN and a NumericalError."""
+    net = QNetwork(
+        layer1=DenseLayer(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2)),
+        layer2=DenseLayer(np.array([[1.0, 1e300], [0, 0], [0, 0], [0, 0]]), np.zeros(4)),
+    )
+    before = copy.deepcopy(net.layer1)
+    assert train_step(net, np.array([1.0, 0.0]), 0, -1e10, 1.0) == 1.0000000002e20
+    assert same_bits(net.layer1.weights[1], before.weights[1])  # [-1.0, +0.0]
+    assert same_bits(net.layer1.biases[1], before.biases[1])  # +0.0
+
+
 @pytest.mark.filterwarnings("error")
 def test_forward_non_finite_raises():
     net = toy_network()
