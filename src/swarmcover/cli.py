@@ -280,33 +280,34 @@ def _read_settings(path: str, args) -> dict:
     return settings
 
 
-def _build_specs(settings: dict) -> list[ExperimentSpec]:
+def _build_specs(settings: dict) -> tuple[list[ExperimentSpec], list[str]]:
     """One spec per combination of the sweep keys (maps, uavs, modes), in
-    the order the config lists them; every other setting goes into every
-    spec."""
+    the order the config lists them, with every other setting in every
+    spec; and the map files they read."""
     sweeps = {
         f.name: settings.get(f.name, (f.default,))
         for f in _SETTINGS.values()
         if f.metadata["sweep"]
     }
     fixed = {name: value for name, value in settings.items() if name not in sweeps}
-    grids, spellings = {}, {}
+    grids, map_files = {}, []
     for map_id in sweeps["map_id"]:
-        # A bundled id wins over a file of that name (resolve_map); a map
-        # file is one map however its path is spelled.
-        key = map_id if map_id in BUNDLED_MAP_NOTES else os.path.realpath(map_id)
-        if key in spellings:
-            raise ConfigError(f"maps: {spellings[key]} and {map_id} name the same file")
-        spellings[key] = map_id
         try:
             grids[map_id] = resolve_map(map_id)
         except FileNotFoundError as exc:
             raise ConfigError(str(exc)) from exc
+        # A bundled id wins over a file of that name (resolve_map); a map
+        # file is one map however its path is spelled or linked.
+        if map_id not in BUNDLED_MAP_NOTES:
+            for earlier in map_files:
+                if os.path.samefile(earlier, map_id):
+                    raise ConfigError(f"maps: {earlier} and {map_id} name the same file")
+            map_files.append(map_id)
     specs = []
     for values in itertools.product(*sweeps.values()):
         combo = dict(zip(sweeps, values))
         specs.append(ExperimentSpec(grid=grids[combo["map_id"]], **combo, **fixed))
-    return specs
+    return specs, map_files
 
 
 def _resolve_output_paths(output: str, inputs: list[str]) -> list[str]:
@@ -371,8 +372,7 @@ def cmd_run(args) -> int:
     options = SweepOptions(
         *(settings.pop(f.name, f.default) for f in dataclasses.fields(SweepOptions))
     )
-    specs = _build_specs(settings)
-    map_files = [spec.map_id for spec in specs if spec.map_id not in BUNDLED_MAP_NOTES]
+    specs, map_files = _build_specs(settings)
     paths = _resolve_output_paths(options.output, [args.config, *map_files])
     jobs = list(zip(specs, run_sweep(specs, options.parallelism)))
 

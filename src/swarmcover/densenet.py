@@ -9,8 +9,8 @@ sequential SGD steps up to rounding. It returns the loss its steps
 descend, the mean squared TD error at the parameters each step starts
 from, so a pass evaluates no sample twice. It writes into scratch arrays
 kept per layer-1 weight shape (the stacked inputs, their pre-activations,
-each sample's step and ReLU mask, and the summed W1 step), so ``train_step``
-is neither re-entrant nor thread-safe.
+each sample's step, and the summed W1 step), so ``train_step`` is neither
+re-entrant nor thread-safe.
 
 Q-values stay linear (unbounded) so they can regress onto reward-scale
 targets.
@@ -168,7 +168,8 @@ class _Scratch:
     """The arrays a replay pass writes into, for one W1 shape and up to
     ``len(steps)`` samples. Kept between passes, so that a pass allocates
     only small temporaries: its (k, 2k) Gram matrix, (2, hidden) row
-    corrections and b1 step, and numpy's broadcast buffer for the bias."""
+    corrections, each sample's (hidden,) bool ReLU mask, the b1 step, and
+    numpy's broadcast buffer for the bias."""
 
     def __init__(self, capacity: int, hidden: int, inputs: int) -> None:
         # Small, but a fresh concatenation lifts a warm 16-sample pass's
@@ -176,7 +177,6 @@ class _Scratch:
         self.vectors = np.empty((2 * capacity, inputs))  # observations, then next
         self.z = np.empty((2 * capacity, hidden))  # their pre-activations, then ReLUs
         self.steps = np.empty((capacity, hidden))  # lr * grad_z1 of each sample
-        self.active = np.empty(hidden, dtype=bool)  # one sample's z1 > 0, as 1 or 0
         self.w1_step = np.empty((hidden, inputs))
 
 
@@ -267,9 +267,6 @@ def train_step(
         gram += 1.0
         gram_t = gram.T
         steps = scratch.steps[:k]
-        active = scratch.active
-        active_01 = active.view(np.uint8)
-        step_bits = steps.view(np.int64)
         total = 0.0
         for i in range(k):
             # Row i of z, then row k + i when next observations are given,
@@ -297,13 +294,11 @@ def train_step(
             # lr * grad_z1, and grad_z1 is grad_q * w2[action] where z1 > 0
             # and +0.0 elsewhere. z1 > 0 exactly where the ReLU row is > 0,
             # since a NaN or +inf in z1 would have made grad_q non-finite.
-            # Multiplying the bits by 1 or 0 zeroes the rest exactly, where
-            # a float multiply would turn a step that overflowed at an
-            # inactive unit into inf * 0 = NaN instead of +0.0.
+            # A masked write stores +0.0 where a step that overflowed at an
+            # inactive unit times the mask would give inf * 0 = NaN.
             step = np.multiply(grad_q, w2a, out=steps[i])
             np.multiply(lr, step, out=step)
-            np.greater(hidden, 0.0, out=active)
-            np.multiply(step_bits[i], active_01, out=step_bits[i])
+            np.putmask(step, hidden <= 0.0, 0.0)
             hidden *= lr * grad_q
             w2a -= hidden
             b2[action] = b2a - lr * grad_q

@@ -304,6 +304,16 @@ def test_second_spelling_of_a_map_file_rejected(tmp_path, monkeypatch, capsys):
     assert "maps: two.txt and ./two.txt name the same file" in capsys.readouterr().err
 
 
+def test_hard_linked_map_file_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_sweep", None)  # nothing may train
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "a.txt", TINY_MAP)
+    os.link(tmp_path / "a.txt", tmp_path / "b.txt")
+    config = write(tmp_path, "dup.ini", "[run]\nmaps = a.txt, b.txt\n")
+    assert main(["run", config]) == 1
+    assert "maps: a.txt and b.txt name the same file" in capsys.readouterr().err
+
+
 def test_empty_required_value_reports_line_number(tmp_path, capsys):
     config = write(tmp_path, "bad.ini", "[run]\nmaps =\n")
     assert main(["run", config]) == 1

@@ -242,6 +242,22 @@ def test_step_overflow_at_an_inactive_unit_is_exactly_zero():
     assert same_bits(net.layer1.biases[1], before.biases[1])  # +0.0
 
 
+def test_masked_step_read_by_a_later_sample_is_exactly_zero():
+    """As above, in a pass of two: unit 1 is off at both inputs, and the
+    first step overflows there. The second sample corrects its
+    pre-activations by that step, so a NaN there would reach its Q-value."""
+    net = QNetwork(
+        layer1=DenseLayer(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2)),
+        layer2=DenseLayer(np.array([[1.0, 1e300], [0, 0], [0, 0], [0, 0]]), np.zeros(4)),
+    )
+    before = copy.deepcopy(net.layer1)
+    observations = np.array([[1.0, 0.0], [2.0, 0.0]])
+    loss = train_step(net, observations, [0, 1], [-1e10, 5.0], 1.0)
+    assert np.isfinite(loss)
+    assert same_bits(net.layer1.weights[1], before.weights[1])  # [-1.0, +0.0]
+    assert same_bits(net.layer1.biases[1], before.biases[1])  # +0.0
+
+
 @pytest.mark.filterwarnings("error")
 def test_forward_non_finite_raises():
     net = toy_network()
@@ -391,11 +407,14 @@ def replay_pass_inputs(seed, in_dim, k):
     return observations, actions, target, 0.0002, next_observations
 
 
-def test_warm_replay_pass_allocates_no_large_temporary():
-    """Scratch arrays are kept per W1 shape: a second 16-sample pass on the
-    grove-sized network allocates well under one (16, 1013) array."""
-    net = init_network(75, np.random.default_rng(3))
-    batch = replay_pass_inputs(4, 75, 16)
+@pytest.mark.parametrize("inputs", [75, 243])  # three planes of a 5x5, a 9x9 map
+def test_warm_replay_pass_allocates_no_large_temporary(inputs):
+    """Scratch arrays are kept per W1 shape: a second 16-sample pass
+    allocates well under one (16, 1013) array. At 243 inputs a fresh
+    (32, 243) concatenation alone would bring the peak close to that
+    bound."""
+    net = init_network(inputs, np.random.default_rng(3))
+    batch = replay_pass_inputs(4, inputs, 16)
     train_step(net, *batch)
     tracemalloc.start()
     try:
