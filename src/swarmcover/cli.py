@@ -19,6 +19,7 @@ worker process that died).
 from __future__ import annotations
 
 import argparse
+import bisect
 import configparser
 import contextlib
 import dataclasses
@@ -180,8 +181,8 @@ def main(argv=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Config file reading. configparser does the parsing, and the dicts it fills
-# note the lines that diagnostics point at.
+# Config file reading. configparser does the parsing, and its reads of the
+# file's first lines find the line that a diagnostic points at.
 
 
 def _parse(f: dataclasses.Field, raw: str):
@@ -198,46 +199,43 @@ def _parse(f: dataclasses.Field, raw: str):
     return value
 
 
-def _read_config(path: str) -> tuple[configparser.ConfigParser, dict]:
-    """configparser's read of the file at ``path``, and the line that opens
-    each section, keyed (None, section), or sets each key, keyed (section, key)."""
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    lines, reading = {}, 0
-
-    def feed():  # the lines as read_string splits them, at "\n" only
-        nonlocal reading
-        for reading, line in enumerate(io.StringIO(text), start=1):
-            yield line
-
-    # configparser makes its section list and each section's options with
-    # dict_type and handles each line of feed() before taking the next
-    # (CPython 3.10-3.13; the line-number tests would catch a change). A
-    # key's first set is its line: joining a continued value sets it again.
-    class Numbered(dict):
-        section = None
-
-        def __setitem__(self, key, value):
-            if isinstance(value, Numbered):
-                value.section = key
-            lines.setdefault((self.section, key), reading)
-            super().__setitem__(key, value)
-
+def _config_parser() -> configparser.ConfigParser:
     # Values are taken literally (a '%' in a path is just a '%'), and
     # there is no default section: [DEFAULT] is an ordinary section
     # here, so it is rejected like any other unknown one instead of
     # leaking its keys into [run] and [training].
-    parser = configparser.ConfigParser(
-        interpolation=None, default_section=None, dict_type=Numbered
-    )
+    return configparser.ConfigParser(interpolation=None, default_section=None)
+
+
+def _read_config(path: str) -> tuple[configparser.ConfigParser, list[str]]:
+    """configparser's read of the file at ``path``, and the file's lines,
+    split at "\n" only, as read_string splits them."""
     try:
-        parser.read_file(feed(), source=path)
+        with open(path, encoding="utf-8-sig") as handle:
+            lines = io.StringIO(handle.read()).readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    parser = _config_parser()
+    try:
+        parser.read_file(lines, source=path)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
     return parser, lines
+
+
+def _line(lines: list[str], section: str, key: str | None = None) -> int:
+    """The line that opens ``section`` or, given ``key``, sets that key in
+    it: the first n at which a read of ``lines[:n]`` has it. A read that
+    has it keeps it as lines are added, so n is found by bisection."""
+
+    def has(n: int) -> bool:
+        parser = _config_parser()
+        parser.read_file(lines[:n])
+        if key is None:
+            return parser.has_section(section)
+        return parser.has_option(section, key)
+
+    return bisect.bisect_left(range(len(lines) + 1), True, key=has)
 
 
 def _read_settings(path: str, args) -> dict:
@@ -246,13 +244,13 @@ def _read_settings(path: str, args) -> dict:
     one pass, so its first error in file order is the one reported."""
     parser, lines = _read_config(path)
 
-    def error(message: str, section: str | None, key: str) -> ConfigError:
-        return ConfigError(f"{path} line {lines[section, key]}: {message}")
+    def error(message: str, section: str, key: str | None = None) -> ConfigError:
+        return ConfigError(f"{path} line {_line(lines, section, key)}: {message}")
 
     settings = {}
     for section in parser.sections():
         if section not in {known for known, _ in _SETTINGS}:
-            raise error(f"unknown section [{section}]", None, section)
+            raise error(f"unknown section [{section}]", section)
         for key, raw in parser.items(section):
             f = _SETTINGS.get((section, key))
             if f is None:

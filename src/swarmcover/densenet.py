@@ -168,7 +168,7 @@ class _Scratch:
     """The arrays a replay pass writes into, for one W1 shape and up to
     ``len(steps)`` samples. Kept between passes, so that a pass allocates
     only small temporaries: its (k, 2k) Gram matrix, (2, hidden) row
-    corrections, each sample's (hidden,) bool ReLU mask, the b1 step, and
+    corrections, each sample's (hidden,) ReLU sign row, the b1 step, and
     numpy's broadcast buffer for the bias."""
 
     def __init__(self, capacity: int, hidden: int, inputs: int) -> None:
@@ -292,13 +292,14 @@ def train_step(
 
             # Backprop through the taken action's output only: step i is
             # lr * grad_z1, and grad_z1 is grad_q * w2[action] where z1 > 0
-            # and +0.0 elsewhere. z1 > 0 exactly where the ReLU row is > 0,
+            # and zero elsewhere. z1 > 0 exactly where the ReLU row is > 0,
             # since a NaN or +inf in z1 would have made grad_q non-finite.
-            # A masked write stores +0.0 where a step that overflowed at an
-            # inactive unit times the mask would give inf * 0 = NaN.
-            step = np.multiply(grad_q, w2a, out=steps[i])
-            np.multiply(lr, step, out=step)
-            np.putmask(step, hidden <= 0.0, 0.0)
+            # The row's sign masks w2[action], which a finite grad_q shows
+            # is finite, so no inf * 0 = NaN arises (masking an overflowed
+            # step would): active units keep their bits, inactive get +-0.
+            step = np.multiply(w2a, np.sign(hidden), out=steps[i])
+            step *= grad_q
+            step *= lr
             hidden *= lr * grad_q
             w2a -= hidden
             b2[action] = b2a - lr * grad_q

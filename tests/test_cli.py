@@ -167,6 +167,22 @@ def test_unknown_key_reports_line_number(tmp_path, capsys):
         assert f"line 3: unknown key {key}" in err
 
 
+def test_line_numbers_hold_for_other_line_endings(tmp_path, capsys):
+    # CRLF and lone CR read as "\n"; other line breaks str.splitlines knows,
+    # such as a form feed, do not end a line. Each reports its LF form's line.
+    map_path = write(tmp_path, "tiny.txt", TINY_MAP)
+    for text, line in [
+        (f"[run]\r\nmaps = {map_path}\r\nseeds = 1\r\nbogus = 1\r\n", 4),
+        (f"[run]\rmaps = {map_path}\rbogus = 1\r", 3),
+        (f"[run]\nmaps = {map_path},\n  grove_5x5\x0c\nbogus = 1\n", 4),
+    ]:
+        config = tmp_path / "bad.ini"
+        config.write_bytes(text.encode())
+        assert main(["run", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {config} line {line}: unknown key 'bogus' in [run]\n"
+
+
 def test_unknown_section_rejected(tmp_path, capsys):
     map_path = write(tmp_path, "tiny.txt", TINY_MAP)
     config = write(
@@ -370,9 +386,11 @@ def test_read_config_numbers_each_header_and_key_where_emitted(tmp_path_factory,
     path = tmp_path_factory.mktemp("numbered") / "run.ini"
     path.write_bytes(text.encode())
     parser, lines = cli._read_config(str(path))
-    read = {(None, section): lines[None, section] for section in parser.sections()}
+    read = {(None, section): cli._line(lines, section) for section in parser.sections()}
     for section in parser.sections():
-        read.update({(section, key): lines[section, key] for key in parser[section]})
+        read.update(
+            {(section, key): cli._line(lines, section, key) for key in parser[section]}
+        )
     assert read == where
 
 
