@@ -15,12 +15,9 @@ sampling, so reruns reproduce every action and every CSV byte.
 
 from __future__ import annotations
 
-import configparser
-import csv
 import functools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -82,6 +79,8 @@ def _lowercase_items(raw: str) -> tuple[str, ...]:
 
 
 def _boolean(raw: str) -> bool:
+    import configparser  # only the config reader parses booleans
+
     states = configparser.ConfigParser.BOOLEAN_STATES
     if raw.lower() not in states:
         raise ValueError(f"expected a boolean, got {raw!r}")
@@ -330,6 +329,8 @@ def run_sweep(
         raise ValueError("parallelism must be positive")
     runs = [replace(spec, seeds=(seed,)) for spec in specs for seed in spec.seeds]
     workers = min(parallelism, len(runs))
+    if workers > 1:  # only a pool needs multiprocessing, so only a pool imports it
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         done = (pool.map if pool else map)(run_experiment, runs)
         return [[run for _ in spec.seeds for run in next(done)] for spec in specs]
@@ -384,6 +385,8 @@ def results_rows(spec: ExperimentSpec, results: list[RunResult]) -> list[list[st
 
 def write_results_csv(handle, rows: list[list[str]]) -> None:
     """Write the header plus pre-formatted rows with LF line endings."""
+    import csv  # only the writer needs csv, so a library run never loads it
+
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     writer.writerows(rows)

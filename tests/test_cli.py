@@ -2,9 +2,12 @@
 
 import codecs
 import json
+import multiprocessing
 import os
 import re
 import shutil
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -15,7 +18,8 @@ from hypothesis import strategies as st
 from swarmcover import cli
 from swarmcover.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 TINY_MAP = "12\n.#\n"  # 3 free cells, designated starts for up to 2 UAVs
 
@@ -104,6 +108,34 @@ def test_run_parallelism_matches_sequential(tmp_path):
     assert main(["run", one_spec, "--output", str(a), "--parallelism", "1"]) == 0
     assert main(["run", one_spec, "--output", str(b), "--parallelism", "2"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(), reason="no forkserver here"
+)
+def test_pool_under_forkserver_matches_sequential(tmp_path):
+    # forkserver (Python 3.14's default on Linux) starts workers that import
+    # the package afresh rather than inherit this process's modules. A start
+    # method is set once per process, so the pooled sweep runs in a new one.
+    config, _ = tiny_config(tmp_path, extra_run="uavs = 1, 2\nlog_traces = true\n")
+    sequential, pooled = tmp_path / "seq.csv", tmp_path / "pool.csv"
+    argv = ["run", config, "--seeds", "1, 2", "--output"]
+    assert main([*argv, str(sequential), "--parallelism", "1"]) == 0
+    script = (
+        "import multiprocessing, sys\n"
+        "from swarmcover.cli import main\n"
+        "multiprocessing.set_start_method('forkserver')\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv, str(pooled), "--parallelism", "2"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    for suffix in ("", ".traces.json"):
+        pooled_bytes = Path(f"{pooled}{suffix}").read_bytes()
+        assert pooled_bytes == Path(f"{sequential}{suffix}").read_bytes()
 
 
 def test_output_dir_environment_variable(tmp_path, monkeypatch):

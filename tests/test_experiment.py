@@ -7,7 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from swarmcover import agent, experiment
+from swarmcover import agent
 from swarmcover.agent import SwarmController
 from swarmcover.densenet import NumericalError
 from swarmcover.experiment import (
@@ -296,7 +296,8 @@ def test_run_sweep_starts_at_most_one_worker_per_run(monkeypatch):
             assert all(len(run.seeds) == 1 for run in runs)
             return super().map(fn, runs)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    # run_sweep imports the pool when it starts one, so it reads this name.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     specs = [tiny_spec(n_uavs=n) for n in (1, 2)]
     assert run_sweep(specs, parallelism=4) == run_sweep(specs, parallelism=1)
     assert run_sweep(specs[:1], parallelism=3) == run_sweep(specs[:1], parallelism=1)

@@ -2,7 +2,10 @@
 demos and the README import from it."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,47 @@ def test_demos_use_every_name_they_import():
         used = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
         unused = imported_names(source) - used
         assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+def loaded_after(code: str, modules: tuple[str, ...], cwd: Path) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded once it has run
+    ``code``. This test process has loaded far more, so it cannot tell."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    check = f"\nimport sys\nprint(sorted(set({modules!r}) & set(sys.modules)))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", code + check], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), cwd=cwd, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def test_a_run_loads_no_process_pool_config_reader_or_csv_writer(tmp_path):
+    # A library run: the path from import to training that grove1 times.
+    library_run = """
+from swarmcover import ExperimentSpec, parse_map, run_seed
+spec = ExperimentSpec(map_id="tiny", grid=parse_map("..\\n.."), seeds=(1,), max_episodes=1)
+run_seed(spec, 1)
+"""
+    unused = ("multiprocessing", "concurrent.futures", "configparser", "csv")
+    assert loaded_after(library_run, unused, tmp_path) == []
+
+    # The command line at parallelism 1: it reads a config and writes a CSV,
+    # but starts no pool.
+    (tmp_path / "tiny.txt").write_text("12\n.#\n")
+    output = tmp_path / "results.csv"
+    (tmp_path / "run.ini").write_text(
+        f"[run]\nmaps = tiny.txt\noutput = {output}\nepisodes = 5\nseeds = 1\n"
+        "log_traces = true\n"
+    )
+    commands = f"""
+from swarmcover.cli import main
+assert main(["maps"]) == 0
+assert main(["run", "run.ini", "--parallelism", "1"]) == 0
+assert main(["render", {str(output)!r}, "--map", "tiny.txt", "--seed", "1"]) == 0
+"""
+    pool = ("multiprocessing", "concurrent.futures.process")
+    assert loaded_after(commands, pool, tmp_path) == []
 
 
 def test_numpy_requirement_has_a_floor_of_two():
