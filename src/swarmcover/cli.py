@@ -3,8 +3,8 @@
 Three subcommands, all thin wrappers over the library:
 
 * ``run <config>``    -- run every (map, uavs, mode) combination listed in
-  an INI configuration file, write one results CSV (plus an optional
-  trace sidecar), and print a mean ± std summary grid.
+  an INI configuration file, write one results CSV and its trace
+  sidecar, and print a mean ± std summary grid.
 * ``render <csv> --map <id> --seed <n>`` -- replay a logged best episode
   from the sidecar next to the CSV and print the covered map.
 * ``maps``            -- list the bundled maps.
@@ -374,38 +374,29 @@ def cmd_run(args) -> int:
     paths = _resolve_output_paths(options.output, [args.config, *map_files])
     jobs = list(zip(specs, run_sweep(specs, options.parallelism)))
 
-    # The CSV and, with log_traces (the same in every spec), its trace
-    # sidecar, each with its writer and the items each spec gives it.
-    # Each file is written under a temporary name next to its target and
-    # renamed into place once all are complete, so an error part-way
-    # through leaves earlier output as it was, not a truncated file that
-    # looks valid.
+    # The CSV and its trace sidecar, each with its writer and the items
+    # each spec gives it; a spec without log_traces gives no traces, so an
+    # untraced run writes a sidecar that holds none. Each file is written
+    # under a temporary name next to its target and renamed into place once
+    # both are complete, so an error part-way through leaves earlier output
+    # as it was, not a truncated file that looks valid, and a sidecar from
+    # an earlier run never stays beside a new CSV.
     writers = [(write_results_csv, results_rows), (write_traces, trace_entries)]
-    outputs = list(zip(paths, writers if specs[0].log_traces else writers[:1]))
-    removed = []
     try:
-        for path, (write, items) in outputs:
+        for path, (write, items) in zip(paths, writers):
             with open(_temp_path(path), "w", encoding="utf-8", newline="") as handle:
                 write(handle, [item for job in jobs for item in items(*job)])
-        # A sidecar this run does not write belongs to an earlier run. It goes
-        # before the renames, so no failure leaves it next to the new CSV.
-        for path in paths[len(outputs):]:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
-                removed.append(path)
-        for path, _ in outputs:
+        for path in paths:
             os.replace(_temp_path(path), path)
     except BaseException:
-        for path, _ in outputs:
+        for path in paths:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(_temp_path(path))
         raise
 
     _print_summary(jobs)
-    for path, _ in outputs:
+    for path in paths:
         print(f"wrote {path}")
-    for path in removed:
-        print(f"removed stale {path}")
     return 0
 
 
@@ -423,9 +414,10 @@ def cmd_render(args) -> int:
             and (args.mode is None or entry["mode"] == args.mode)
         ]
         if not matches:
-            raise RuntimeFailure(
-                f"no logged best episode matches map={args.map} seed={args.seed}"
-            )
+            message = f"no logged best episode matches map={args.map} seed={args.seed}"
+            if not entries:
+                message += f" ({trace_path} holds no traces: was the run made with log_traces?)"
+            raise RuntimeFailure(message)
         entry = matches[0]
         header = (
             f"{entry['map_id']}  seed {entry['seed']}  {entry['n_uavs']} uav "

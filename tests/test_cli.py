@@ -138,6 +138,18 @@ def test_pool_under_forkserver_matches_sequential(tmp_path):
         assert pooled_bytes == Path(f"{sequential}{suffix}").read_bytes()
 
 
+def test_log_traces_changes_no_result(tmp_path, capsys):
+    config, _ = tiny_config(tmp_path, extra_run="uavs = 1, 2\nmodes = local, global\n")
+    printed = {}
+    for name, argv in [("traced", ["--log-traces"]), ("untraced", [])]:
+        output = str(tmp_path / f"{name}.csv")
+        assert main(["run", config, "--output", output, *argv]) == 0
+        printed[name] = capsys.readouterr().out.replace(output, "OUTPUT")
+    assert printed["traced"] == printed["untraced"]
+    assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "untraced.csv").read_bytes()
+    assert json.loads((tmp_path / "traced.csv.traces.json").read_text())["traces"]
+
+
 def test_output_dir_environment_variable(tmp_path, monkeypatch):
     outdir = tmp_path / "outputs"
     monkeypatch.setenv("SWARMCOVER_OUTPUT_DIR", str(outdir))
@@ -587,12 +599,16 @@ def test_render_move_count_matches_best(tmp_path):
 def test_render_no_match_exits_two(tmp_path, capsys):
     csv_path, map_path = run_with_traces(tmp_path)
     assert main(["render", csv_path, "--map", map_path, "--seed", "99"]) == 2
+    err = capsys.readouterr().err
+    assert "matches map=" in err and "log_traces" not in err  # the sidecar has traces
 
 
 def test_render_without_sidecar_exits_two(tmp_path, capsys):
-    config, map_path = tiny_config(tmp_path)
-    assert main(["run", config]) == 0
-    assert main(["render", str(tmp_path / "results.csv"), "--map", map_path, "--seed", "1"]) == 2
+    csv_path, map_path = run_with_traces(tmp_path)
+    os.remove(csv_path + cli.TRACE_SUFFIX)  # a CSV copied without its sidecar
+    assert main(["render", csv_path, "--map", map_path, "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no trace sidecar at") and "log_traces" in err
 
 
 def edit_sidecar(tmp_path, edit):
@@ -709,7 +725,7 @@ def test_unusable_output_path_fails_before_training(tmp_path, monkeypatch, capsy
     assert trained == []
     assert "blocker" in capsys.readouterr().err
 
-    # A directory where the CSV, or with log_traces its sidecar, should be.
+    # A directory where the CSV or its sidecar should be.
     (tmp_path / "outdir").mkdir()
     (tmp_path / "r.csv.traces.json").mkdir()
     for argv, directory in [
@@ -732,7 +748,7 @@ def test_unusable_output_path_fails_before_training(tmp_path, monkeypatch, capsy
     [
         ("tiny.txt", "run.ini", "run.ini"),  # the config file
         ("m.txt", "./m.txt", "m.txt"),  # a map, spelled another way
-        ("out.csv.traces.json", "out.csv", "out.csv.traces.json"),  # untraced: the stale sidecar
+        ("out.csv.traces.json", "out.csv", "out.csv.traces.json"),  # untraced: the sidecar
         ("m.txt", "hard.csv", "m.txt"),  # a hard link to a map
     ],
 )
@@ -794,33 +810,30 @@ def test_failed_write_leaves_earlier_output(tmp_path, monkeypatch, capsys):
     assert after == before
 
 
-def test_untraced_run_removes_stale_sidecar(tmp_path, monkeypatch, capsys):
+def test_untraced_run_replaces_sidecar_with_an_empty_one(tmp_path, monkeypatch, capsys):
     csv_path, map_path = run_with_traces(tmp_path)
     sidecar = csv_path + cli.TRACE_SUFFIX
     untraced, _ = tiny_config(tmp_path, name="untraced.ini")
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
 
-    # A removal that fails is a failed write: exit 2, earlier output kept.
-    remove = os.remove
+    # A failed sidecar write exits 2 and leaves both earlier files and no
+    # temporary file.
+    def failing_write_traces(handle, entries):
+        handle.write('{"traces": [')
+        raise OSError("disk full")
 
-    def failing_remove(path):
-        if path == sidecar:
-            raise PermissionError(f"cannot remove {path}")
-        remove(path)
-
-    monkeypatch.setattr(os, "remove", failing_remove)
+    monkeypatch.setattr(cli, "write_traces", failing_write_traces)
     assert main(["run", untraced, "--episodes", "2"]) == 2
-    assert "cannot remove" in capsys.readouterr().err
+    assert "disk full" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
     monkeypatch.undo()
 
     assert main(["run", untraced, "--episodes", "2"]) == 0
-    assert capsys.readouterr().out.endswith(
-        f"wrote {csv_path}\nremoved stale {sidecar}\n"
-    )
-    assert not os.path.exists(sidecar)
+    assert capsys.readouterr().out.endswith(f"wrote {csv_path}\nwrote {sidecar}\n")
+    assert Path(sidecar).read_bytes() == b'{\n "traces": []\n}\n'  # write_traces([])
     assert main(["render", csv_path, "--map", map_path, "--seed", "1"]) == 2
-    assert "no trace sidecar" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: no logged best episode matches") and "log_traces" in err
 
 
 def test_untraced_run_refuses_directory_at_sidecar_path(tmp_path, monkeypatch, capsys):

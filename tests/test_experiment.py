@@ -243,6 +243,22 @@ def test_traces_record_every_move():
 TINY_3X3 = parse_map(".1.\n.#.\n23.\n")
 
 
+@pytest.mark.parametrize(
+    "grid, n_uavs, episodes",
+    [(TINY_3X3, 3, 6), (load_bundled_map("grove_5x5"), 1, 2)],
+    ids=["tiny_3x3", "grove_5x5"],
+)
+def test_log_traces_changes_no_result(grid, n_uavs, episodes):
+    spec = tiny_spec(grid=grid, n_uavs=n_uavs, max_episodes=episodes)
+    untraced = run_seed(spec, 1)
+    traced = run_seed(dataclasses.replace(spec, log_traces=True), 1)
+    assert all(rec.moves is None for rec in untraced.episodes)
+    assert all(rec.moves is not None for rec in traced.episodes)
+    assert [dataclasses.replace(rec, moves=None) for rec in traced.episodes] == list(
+        untraced.episodes
+    )
+
+
 @pytest.mark.parametrize("n_uavs", [1, 3])
 @pytest.mark.parametrize("map_id", ["tiny_3x3", "grove_5x5"])
 def test_covering_episodes_need_free_minus_uavs_actions(map_id, n_uavs):
