@@ -10,10 +10,11 @@ Three subcommands, all thin wrappers over the library:
 * ``maps``            -- list the bundled maps.
 
 Exit codes: 0 success, 1 configuration error (bad flags, bad config
-file, missing or invalid map), 2 runtime error (a missing or malformed
-trace sidecar, no matching trace, a trace that does not replay to its
-recorded result, output files unwritable or naming an input file, a
-worker process that died).
+file, missing or invalid map), 2 runtime error: any RuntimeError (a
+missing or malformed trace sidecar, no matching trace, a trace that does
+not replay to its recorded result, an empty output path or one naming a
+directory or an input file, a worker process that died), OSError
+(output files unwritable) or ArithmeticError (training diverged).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 
 from .agent import MODES
 from .experiment import (
@@ -107,11 +107,6 @@ def _help_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-class RuntimeFailure(RuntimeError):
-    """Errors past configuration: missing or inconsistent traces,
-    unwritable output, output that would replace an input."""
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as configuration errors
     instead of exiting the process on its own."""
@@ -175,7 +170,7 @@ def main(argv=None) -> int:
     except (ConfigError, MapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeFailure, OSError, ArithmeticError, BrokenExecutor) as exc:
+    except (RuntimeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -312,21 +307,21 @@ def _resolve_output_paths(output: str, inputs: list[str]) -> list[str]:
     """The results CSV at ``output`` and its trace sidecar. Makes their
     directory and refuses an empty path, or a directory or one of the
     ``inputs`` files at either, so that each fails before training."""
+    if not output:
+        raise RuntimeError("output path is empty")
     base_dir = os.environ.get(OUTPUT_DIR_ENV)
     if base_dir and not os.path.isabs(output):
         output = os.path.join(base_dir, output)
-    if not output:
-        raise RuntimeFailure("output path is empty")
     parent = os.path.dirname(output)
     if parent:
         os.makedirs(parent, exist_ok=True)
     paths = [output, output + TRACE_SUFFIX]
     for path in paths:
         if os.path.isdir(path):
-            raise RuntimeFailure(f"output path {path} is a directory")
+            raise RuntimeError(f"output path {path} is a directory")
         for source in inputs:  # however either path is spelled or linked
             if os.path.exists(path) and os.path.samefile(path, source):
-                raise RuntimeFailure(f"output path {path} is the input file {source}")
+                raise RuntimeError(f"output path {path} is the input file {source}")
     return paths
 
 
@@ -417,7 +412,7 @@ def cmd_render(args) -> int:
             message = f"no logged best episode matches map={args.map} seed={args.seed}"
             if not entries:
                 message += f" ({trace_path} holds no traces: was the run made with log_traces?)"
-            raise RuntimeFailure(message)
+            raise RuntimeError(message)
         entry = matches[0]
         header = (
             f"{entry['map_id']}  seed {entry['seed']}  {entry['n_uavs']} uav "
@@ -428,27 +423,27 @@ def cmd_render(args) -> int:
         # moves, the last of which completes coverage.
         moves = entry["moves"]
         if len(moves) != entry["total_actions"]:
-            raise RuntimeFailure(
+            raise RuntimeError(
                 f"trace has {len(moves)} moves but records {entry['total_actions']} actions"
             )
         grid = parse_map(entry["map"])
         state = replay(grid, entry["n_uavs"], moves, entry["allow_shared_cells"])
         if state.global_step < len(moves):
-            raise RuntimeFailure(
+            raise RuntimeError(
                 f"trace covers the map after {state.global_step} of its {len(moves)} moves"
             )
         if not is_coverage_complete(grid, state):
-            raise RuntimeFailure("trace does not cover the map when replayed")
+            raise RuntimeError("trace does not cover the map when replayed")
         picture = draw_state(grid, state)
     except OSError as exc:
-        raise RuntimeFailure(
+        raise RuntimeError(
             f"no trace sidecar at {trace_path} (was the run made with log_traces?): {exc}"
         ) from exc
     except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
         # A truncated or hand-edited sidecar. MapError is a ValueError, so a
         # bad map text is a runtime error here, not a configuration error;
         # a map that is not text at all raises AttributeError.
-        raise RuntimeFailure(
+        raise RuntimeError(
             f"malformed trace sidecar {trace_path}: {type(exc).__name__}: {exc}"
         ) from exc
     if len(matches) > 1:

@@ -7,10 +7,10 @@ test suite cross-checks them against central finite differences. A replay
 pass of 16 experiences is one batched ``train_step`` call that equals 16
 sequential SGD steps up to rounding. It returns the loss its steps
 descend, the mean squared TD error at the parameters each step starts
-from, so a pass evaluates no sample twice. It writes into scratch arrays
-kept per layer-1 weight shape (the stacked inputs, their pre-activations,
-each sample's step, and the summed W1 step), so ``train_step`` is neither
-re-entrant nor thread-safe.
+from, so a pass evaluates no sample twice. It writes into one kept set of
+scratch arrays, for the layer-1 weight shape in use (the stacked inputs,
+their pre-activations, each sample's step, and the summed W1 step), so
+``train_step`` is neither re-entrant nor thread-safe.
 
 Q-values stay linear (unbounded) so they can regress onto reward-scale
 targets.
@@ -180,19 +180,17 @@ class _Scratch:
         self.w1_step = np.empty((hidden, inputs))
 
 
-# One grow-only set per W1 shape, its capacity a power of two.
-_scratch_sets: dict[tuple[int, ...], _Scratch] = {}
+# The one set, for the W1 shape last trained; its capacity a power of two.
+_scratch: _Scratch | None = None
 
 
 def _scratch_for(w1_shape: tuple[int, ...], k: int) -> _Scratch:
-    scratch = _scratch_sets.get(w1_shape)
-    if scratch is None or len(scratch.steps) < k:
-        # Free the smaller set before allocating its successor.
-        del scratch
-        _scratch_sets.pop(w1_shape, None)
-        scratch = _Scratch(1 << (k - 1).bit_length(), *w1_shape)
-        _scratch_sets[w1_shape] = scratch
-    return scratch
+    global _scratch
+    if _scratch is None or _scratch.w1_step.shape != w1_shape or len(_scratch.steps) < k:
+        # Free the old set before allocating its successor.
+        _scratch = None
+        _scratch = _Scratch(1 << (k - 1).bit_length(), *w1_shape)
+    return _scratch
 
 
 def train_step(
@@ -226,9 +224,10 @@ def train_step(
     all k steps at the end in one product. This equals k sequential steps
     up to rounding, and a single step bit for bit.
 
-    The pass writes into scratch arrays kept per W1 shape (``_Scratch``),
-    so it allocates no large temporary. That makes ``train_step`` neither
-    re-entrant nor thread-safe: a ``targets`` callable must not call it.
+    The pass writes into one kept set of scratch arrays (``_Scratch``),
+    replaced when the W1 shape changes, so it allocates no large temporary.
+    That makes ``train_step`` neither re-entrant nor thread-safe: a
+    ``targets`` callable must not call it.
     """
     w1, b1 = net.layer1.weights, net.layer1.biases
     w2, b2 = net.layer2.weights, net.layer2.biases

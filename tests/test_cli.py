@@ -737,10 +737,16 @@ def test_unusable_output_path_fails_before_training(tmp_path, monkeypatch, capsy
         assert f"{directory} is a directory" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
-    # An empty path names no file.
-    assert main(["run", config, "--output", ""]) == 2
-    assert trained == []
-    assert "output path is empty" in capsys.readouterr().err
+    # An empty path names no file, also under an output directory, which
+    # is then not made.
+    base_dir = tmp_path / "base"
+    for env in [None, str(base_dir)]:
+        if env is not None:
+            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, env)
+        assert main(["run", config, "--output", ""]) == 2
+        assert trained == []
+        assert "output path is empty" in capsys.readouterr().err
+    assert not base_dir.exists()
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import copy
 import ctypes
+import gc
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from swarmcover import densenet
+from swarmcover import ExperimentSpec, densenet, run_seed
 from swarmcover.agent import bellman_target
 from swarmcover.densenet import (
     HIDDEN_UNITS,
@@ -23,6 +24,7 @@ from swarmcover.densenet import (
     one_blas_thread,
     train_step,
 )
+from swarmcover.gridworld import BUNDLED_MAP_NOTES, load_bundled_map
 
 
 def toy_network():
@@ -426,8 +428,8 @@ def test_warm_replay_pass_allocates_no_large_temporary(inputs):
 
 
 def test_scratch_arrays_carry_nothing_between_passes():
-    """A pass gives the same bits whatever ran on the same W1 shape before
-    it: other batch sizes, a capacity change, a one-row call."""
+    """A pass gives the same bits whatever ran before it: other batch
+    sizes, a capacity change, a one-row call, another W1 shape."""
     net = init_network(12, np.random.default_rng(5))
     first, second = copy.deepcopy(net), copy.deepcopy(net)
     batch = replay_pass_inputs(6, 12, 5)
@@ -436,6 +438,7 @@ def test_scratch_arrays_carry_nothing_between_passes():
         other = init_network(12, np.random.default_rng(seed))
         train_step(other, *replay_pass_inputs(seed, 12, k))
     train_step(init_network(12, np.random.default_rng(9)), np.ones(12), 2, 40.0, 0.05)
+    train_step(init_network(20, np.random.default_rng(10)), *replay_pass_inputs(10, 20, 5))
     loss_second = train_step(second, *batch)
     assert same_bits(loss_first, loss_second)
     for got, want in [
@@ -445,6 +448,20 @@ def test_scratch_arrays_carry_nothing_between_passes():
         (second.layer2.biases, first.layer2.biases),
     ]:
         assert same_bits(got, want)
+
+
+def test_runs_on_every_bundled_map_leave_one_scratch_set():
+    """The replay pass keeps one scratch set, for the last W1 shape it
+    trained, not one for every shape the process has trained."""
+    for map_id in BUNDLED_MAP_NOTES:
+        spec = ExperimentSpec(
+            map_id=map_id, grid=load_bundled_map(map_id), seeds=(1,),
+            max_episodes=1, step_budget=40,
+        )
+        run_seed(spec, 1)
+    kept = [obj for obj in gc.get_objects() if isinstance(obj, densenet._Scratch)]
+    assert len(kept) == 1
+    assert kept[0].w1_step.shape == (HIDDEN_UNITS, 141)  # block_9x9, the last map
 
 
 def test_one_blas_thread_sets_and_restores_the_count():
