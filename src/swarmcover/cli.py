@@ -285,10 +285,7 @@ def _build_specs(settings: dict) -> tuple[list[ExperimentSpec], list[str]]:
     fixed = {name: value for name, value in settings.items() if name not in sweeps}
     grids, map_files = {}, []
     for map_id in sweeps["map_id"]:
-        try:
-            grids[map_id] = resolve_map(map_id)
-        except FileNotFoundError as exc:
-            raise ConfigError(str(exc)) from exc
+        grids[map_id] = resolve_map(map_id)
         # A bundled id wins over a file of that name (resolve_map); a map
         # file is one map however its path is spelled or linked.
         if map_id not in BUNDLED_MAP_NOTES:
@@ -304,24 +301,25 @@ def _build_specs(settings: dict) -> tuple[list[ExperimentSpec], list[str]]:
 
 
 def _resolve_output_paths(output: str, inputs: list[str]) -> list[str]:
-    """The results CSV at ``output`` and its trace sidecar. Makes their
-    directory and refuses an empty path, or a directory or one of the
-    ``inputs`` files at either, so that each fails before training."""
+    """The results CSV at ``output`` and its trace sidecar. Refuses an
+    empty path, or a directory or one of the ``inputs`` files at either,
+    before it makes their directory, so a refusal leaves none behind."""
     if not output:
         raise RuntimeError("output path is empty")
     base_dir = os.environ.get(OUTPUT_DIR_ENV)
     if base_dir and not os.path.isabs(output):
         output = os.path.join(base_dir, output)
-    parent = os.path.dirname(output)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     paths = [output, output + TRACE_SUFFIX]
     for path in paths:
-        if os.path.isdir(path):
+        # A path that ends in a separator, "." or ".." names a directory.
+        if os.path.isdir(path) or os.path.basename(path) in ("", ".", ".."):
             raise RuntimeError(f"output path {path} is a directory")
         for source in inputs:  # however either path is spelled or linked
             if os.path.exists(path) and os.path.samefile(path, source):
                 raise RuntimeError(f"output path {path} is the input file {source}")
+    parent = os.path.dirname(output)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     return paths
 
 

@@ -41,7 +41,8 @@ MAX_UAVS = len(START_CHARS)
 
 
 class MapError(ValueError):
-    """A map text that ``parse_map`` rejects."""
+    """A map that cannot be used: a name that is neither a bundled map id
+    nor a readable map file, or a map text that ``parse_map`` rejects."""
 
 
 class Action(IntEnum):
@@ -366,8 +367,9 @@ BUNDLED_MAP_NOTES = {
 
 
 def load_bundled_map(map_id: str) -> GridMap:
+    """The bundled map ``map_id``; an unknown id raises MapError."""
     if map_id not in BUNDLED_MAP_NOTES:
-        raise KeyError(f"no bundled map named {map_id!r}")
+        raise MapError(f"no bundled map named {map_id!r}")
     text = (resources.files(__package__) / "maps" / f"{map_id}.txt").read_text(
         encoding="utf-8"
     )
@@ -375,18 +377,16 @@ def load_bundled_map(map_id: str) -> GridMap:
 
 
 def resolve_map(name_or_path: str) -> GridMap:
-    """Look up a bundled map by id, or parse a map file from disk. A map
-    file's MapError names the file."""
+    """Look up a bundled map by id, or parse a map file from disk. Raises
+    MapError for a name that is neither; a map file's MapError names it."""
     if name_or_path in BUNDLED_MAP_NOTES:
         return load_bundled_map(name_or_path)
     try:
         with open(name_or_path, encoding="utf-8-sig") as handle:
-            text = handle.read()
+            return parse_map(handle.read())
     except (OSError, UnicodeDecodeError) as exc:
-        raise FileNotFoundError(
+        raise MapError(
             f"{name_or_path!r} is neither a bundled map id nor a readable map file"
         ) from exc
-    try:
-        return parse_map(text)
     except MapError as exc:
         raise MapError(f"{name_or_path}: {exc}") from exc

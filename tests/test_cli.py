@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from swarmcover import cli
 from swarmcover.cli import main
+from swarmcover.gridworld import BUNDLED_MAP_NOTES, load_bundled_map
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -561,6 +562,16 @@ def test_readme_reference_lists_every_config_key():
     assert documented == cli._SETTINGS.keys()
 
 
+def test_readme_maps_table_lists_every_bundled_map():
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("`swarmcover maps` lists the bundled maps:") :].split("\n\n")[1]
+    rows = re.findall(r"^\| (\w+) \| (\d+×\d+) \| (\d+) \|", table, re.M)
+    assert [map_id for map_id, _, _ in rows] == list(BUNDLED_MAP_NOTES)
+    for map_id, size, free in rows:
+        grid = load_bundled_map(map_id)
+        assert (f"{grid.rows}×{grid.cols}", grid.free_count) == (size, int(free)), map_id
+
+
 # --- render -------------------------------------------------------------------------
 
 
@@ -748,6 +759,26 @@ def test_unusable_output_path_fails_before_training(tmp_path, monkeypatch, capsy
         assert "output path is empty" in capsys.readouterr().err
     assert not base_dir.exists()
 
+    # A path that ends in a separator, "." or ".." names a directory even
+    # before it exists; it is refused before any directory is made, under
+    # an output directory too.
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    for env, output, shown in [
+        (None, "newdir/", "newdir/"),
+        (None, "a/b/c/", "a/b/c/"),
+        (None, "out/.", "out/."),
+        (None, "o2/..", "o2/.."),
+        ("base", "nd/", "base/nd/"),
+    ]:
+        monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+        if env is not None:
+            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, env)
+        assert main(["run", config, "--output", output]) == 2
+        assert trained == []
+        assert capsys.readouterr().err == f"error: output path {shown} is a directory\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 @pytest.mark.parametrize(
     "maps, output, source",
@@ -853,7 +884,7 @@ def test_untraced_run_refuses_directory_at_sidecar_path(tmp_path, monkeypatch, c
 
 def test_missing_output_directory_at_write_exits_two(tmp_path, monkeypatch, capsys):
     # An unwritable output is a runtime error whichever OSError the write
-    # raises, FileNotFoundError too, the type a bad map reference first raises.
+    # raises, FileNotFoundError too; a bad map reference raises MapError.
     config, _ = tiny_config(tmp_path, extra_run="log_traces = true\n")
     out_dir = tmp_path / "out"
     run_sweep = cli.run_sweep

@@ -464,5 +464,16 @@ def test_resolve_map_bundled_and_path(tmp_path):
     path = tmp_path / "custom.txt"
     path.write_text("..\n.#\n")
     assert resolve_map(str(path)).free_count == 3
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(MapError):
         resolve_map("no_such_map")
+
+    # A name that cannot be opened or decoded is a MapError naming it, as
+    # a bad map text is; so is an unknown bundled id.
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"1.\n.\xff\n")
+    for name in (tmp_path / "missing.txt", latin, tmp_path):
+        with pytest.raises(MapError, match="neither a bundled map id nor a readable") as info:
+            resolve_map(str(name))
+        assert str(name) in str(info.value)
+    with pytest.raises(MapError, match="no bundled map named 'nope'"):
+        load_bundled_map("nope")
