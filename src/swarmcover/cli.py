@@ -435,7 +435,8 @@ def cmd_render(args) -> int:
         picture = draw_state(grid, state)
     except OSError as exc:
         raise RuntimeError(
-            f"no trace sidecar at {trace_path} (was the run made with log_traces?): {exc}"
+            f"no trace sidecar at {trace_path} (every run writes one next to its CSV:"
+            f" was the CSV moved or copied without it?): {exc}"
         ) from exc
     except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
         # A truncated or hand-edited sidecar. MapError is a ValueError, so a

@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .agent import LOCAL, MODES, SwarmController, step_swarm
-from .densenet import NumericalError, one_blas_thread
+from .densenet import N_ACTIONS, NumericalError, one_blas_thread
 from .gridworld import (
     MAX_UAVS,
     GridMap,
@@ -219,13 +219,21 @@ class SweepOptions:
 @dataclass(frozen=True)
 class EpisodeRecord:
     """One episode's outcome; ``total_actions``, its score, is the sum of
-    ``per_uav_actions``. ``moves`` holds (uav, action) pairs when trace
-    logging is on, in the exact order the moves were made."""
+    ``per_uav_actions``. When trace logging is on, ``trace`` holds one byte
+    per move, ``4 * uav + action`` (at most 35, at nine UAVs), in the exact
+    order the moves were made; ``moves`` decodes it."""
 
     episode: int
     covered: bool
     per_uav_actions: tuple[int, ...]
-    moves: tuple[tuple[int, int], ...] | None = None
+    trace: bytes | None = None
+
+    @property
+    def moves(self) -> tuple[tuple[int, int], ...] | None:
+        """The (uav, action) pairs of ``trace``, or None without one."""
+        if self.trace is None:
+            return None
+        return tuple(divmod(move, N_ACTIONS) for move in self.trace)
 
     @property
     def total_actions(self) -> int:
@@ -275,19 +283,19 @@ def run_episode(
     grid, epsilon = spec.grid, spec.epsilon_at(episode_index)
     state = initial_swarm_state(grid, spec.n_uavs)
     observation = controller.observe(state)
-    moves: list[tuple[int, int]] = []
+    trace = bytearray() if spec.log_traces else None
     done = spec.episode_over(state)
     while not done:
         uav = state.global_step % spec.n_uavs
         state, experience = step_swarm(state, uav, observation, controller, epsilon, rng)
         observation, done = experience.next_observation, experience.terminal
-        if spec.log_traces:
-            moves.append((uav, int(experience.action)))
+        if trace is not None:
+            trace.append(N_ACTIONS * uav + experience.action)
     return EpisodeRecord(
         episode=episode_index,
         covered=is_coverage_complete(grid, state),
         per_uav_actions=state.per_uav_actions,
-        moves=tuple(moves) if spec.log_traces else None,
+        trace=None if trace is None else bytes(trace),
     )
 
 

@@ -619,7 +619,8 @@ def test_render_without_sidecar_exits_two(tmp_path, capsys):
     os.remove(csv_path + cli.TRACE_SUFFIX)  # a CSV copied without its sidecar
     assert main(["render", csv_path, "--map", map_path, "--seed", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: no trace sidecar at") and "log_traces" in err
+    assert err.startswith("error: no trace sidecar at")
+    assert "moved or copied without it" in err and "log_traces" not in err
 
 
 def edit_sidecar(tmp_path, edit):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -254,9 +255,44 @@ def test_log_traces_changes_no_result(grid, n_uavs, episodes):
     traced = run_seed(dataclasses.replace(spec, log_traces=True), 1)
     assert all(rec.moves is None for rec in untraced.episodes)
     assert all(rec.moves is not None for rec in traced.episodes)
-    assert [dataclasses.replace(rec, moves=None) for rec in traced.episodes] == list(
+    assert [dataclasses.replace(rec, trace=None) for rec in traced.episodes] == list(
         untraced.episodes
     )
+
+
+def test_trace_bytes_replay_at_nine_uavs():
+    # Nine start digits: UAV 8's moves are the largest trace bytes, 32 to 35.
+    grid = parse_map("123.\n456.\n789.\n")
+    spec = tiny_spec(grid=grid, n_uavs=9, max_episodes=5, log_traces=True)
+    result = run_seed(spec, 1)
+    for rec in result.episodes:
+        state = replay(grid, 9, rec.moves)
+        assert state.per_uav_actions == rec.per_uav_actions
+        assert is_coverage_complete(grid, state) == rec.covered
+    assert any(uav == 8 for rec in result.episodes for uav, _ in rec.moves)
+
+
+def test_traced_run_holds_a_few_bytes_per_move():
+    # Batch size 1 keeps the traced run short; grove_5x5's first episodes
+    # run hundreds of moves each, so a record's fixed cost is small next to
+    # its moves. The warm-up run makes the process's replay scratch, and
+    # held memory is what deleting the result frees, so numpy's own
+    # allocation caches do not count.
+    spec = tiny_spec(
+        grid=load_bundled_map("grove_5x5"), max_episodes=4, batch_size=1, log_traces=True
+    )
+    run_seed(dataclasses.replace(spec, max_episodes=1), 2)
+    tracemalloc.start()
+    try:
+        result = run_seed(spec, 2)
+        moves = sum(rec.total_actions for rec in result.episodes)
+        with_result, _ = tracemalloc.get_traced_memory()
+        del result
+        held = with_result - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert moves > 1000
+    assert held <= 4 * moves
 
 
 @pytest.mark.parametrize("n_uavs", [1, 3])
