@@ -219,20 +219,18 @@ class SweepOptions:
 @dataclass(frozen=True)
 class EpisodeRecord:
     """One episode's outcome; ``total_actions``, its score, is the sum of
-    ``per_uav_actions``. When trace logging is on, ``trace`` holds one byte
-    per move, ``4 * uav + action`` (at most 35, at nine UAVs), in the exact
-    order the moves were made; ``moves`` decodes it."""
+    ``per_uav_actions``. ``trace`` holds one byte per move, ``4 * uav +
+    action`` (at most 35, at nine UAVs), in the exact order the moves were
+    made; ``moves`` decodes it."""
 
     episode: int
     covered: bool
     per_uav_actions: tuple[int, ...]
-    trace: bytes | None = None
+    trace: bytes
 
     @property
-    def moves(self) -> tuple[tuple[int, int], ...] | None:
-        """The (uav, action) pairs of ``trace``, or None without one."""
-        if self.trace is None:
-            return None
+    def moves(self) -> tuple[tuple[int, int], ...]:
+        """The (uav, action) pairs of ``trace``."""
         return tuple(divmod(move, N_ACTIONS) for move in self.trace)
 
     @property
@@ -277,25 +275,23 @@ def run_episode(
     """Run one episode of the controller's spec from a fresh environment
     reset until coverage or budget exhaustion; the controller keeps
     learning throughout. The UAVs move in turn from index 0, and the
-    episode may end mid-round. Moves are recorded when the spec logs
-    traces."""
+    episode may end mid-round. Every move is recorded in the trace."""
     spec = controller.spec
     grid, epsilon = spec.grid, spec.epsilon_at(episode_index)
     state = initial_swarm_state(grid, spec.n_uavs)
     observation = controller.observe(state)
-    trace = bytearray() if spec.log_traces else None
+    trace = bytearray()
     done = spec.episode_over(state)
     while not done:
         uav = state.global_step % spec.n_uavs
         state, experience = step_swarm(state, uav, observation, controller, epsilon, rng)
         observation, done = experience.next_observation, experience.terminal
-        if trace is not None:
-            trace.append(N_ACTIONS * uav + experience.action)
+        trace.append(N_ACTIONS * uav + experience.action)
     return EpisodeRecord(
         episode=episode_index,
         covered=is_coverage_complete(grid, state),
         per_uav_actions=state.per_uav_actions,
-        trace=None if trace is None else bytes(trace),
+        trace=bytes(trace),
     )
 
 
@@ -403,15 +399,17 @@ def write_results_csv(handle, rows: list[list[str]]) -> None:
 def trace_entries(spec: ExperimentSpec, results: list[RunResult]) -> list[dict]:
     """Replayable records of each run's best episode, for rendering.
 
-    Only runs with a covering episode whose moves were logged appear
-    (none without ``log_traces``). Each entry is
-    self-contained: it embeds the map text so a renderer needs nothing
-    but the sidecar file.
+    Every run records its moves, but entries appear only when the spec
+    sets ``log_traces``, and then one per run with a covering episode.
+    Each entry is self-contained: it embeds the map text so a renderer
+    needs nothing but the sidecar file.
     """
+    if not spec.log_traces:
+        return []
     entries = []
     for result in results:
         best = result.best_episode
-        if best is None or best.moves is None:
+        if best is None:
             continue
         entries.append(
             {

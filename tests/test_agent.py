@@ -46,11 +46,10 @@ def zeroed_controller(grid, n_uavs, mode, seed=0, **config_kwargs):
 
 
 def northward_episode(grid, n_uavs, **config_kwargs):
-    """One logged run_episode of a zeroed controller at an epsilon so small
+    """One run_episode of a zeroed controller at an epsilon so small
     that no seed-0 move explores: every UAV's first move is North."""
     controller, rng = zeroed_controller(
-        grid, n_uavs, LOCAL, epsilon=1e-12, epsilon_min=1e-12, log_traces=True,
-        **config_kwargs,
+        grid, n_uavs, LOCAL, epsilon=1e-12, epsilon_min=1e-12, **config_kwargs,
     )
     return controller, run_episode(controller, 0, rng)
 

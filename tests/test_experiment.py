@@ -234,11 +234,14 @@ def test_no_covering_episode_gives_none():
 
 
 def test_traces_record_every_move():
-    spec = tiny_spec(max_episodes=3, log_traces=True)
+    # No log_traces: every run records its moves, and they replay to the
+    # episode's own counts and coverage.
+    spec = tiny_spec(max_episodes=3)
     result = run_seed(spec, 2)
     for rec in result.episodes:
-        assert rec.moves is not None
-        assert len(rec.moves) == rec.total_actions
+        state = replay(spec.grid, spec.n_uavs, rec.moves)
+        assert state.per_uav_actions == rec.per_uav_actions
+        assert is_coverage_complete(spec.grid, state) == rec.covered
 
 
 TINY_3X3 = parse_map(".1.\n.#.\n23.\n")
@@ -253,17 +256,13 @@ def test_log_traces_changes_no_result(grid, n_uavs, episodes):
     spec = tiny_spec(grid=grid, n_uavs=n_uavs, max_episodes=episodes)
     untraced = run_seed(spec, 1)
     traced = run_seed(dataclasses.replace(spec, log_traces=True), 1)
-    assert all(rec.moves is None for rec in untraced.episodes)
-    assert all(rec.moves is not None for rec in traced.episodes)
-    assert [dataclasses.replace(rec, trace=None) for rec in traced.episodes] == list(
-        untraced.episodes
-    )
+    assert traced.episodes == untraced.episodes
 
 
 def test_trace_bytes_replay_at_nine_uavs():
     # Nine start digits: UAV 8's moves are the largest trace bytes, 32 to 35.
     grid = parse_map("123.\n456.\n789.\n")
-    spec = tiny_spec(grid=grid, n_uavs=9, max_episodes=5, log_traces=True)
+    spec = tiny_spec(grid=grid, n_uavs=9, max_episodes=5)
     result = run_seed(spec, 1)
     for rec in result.episodes:
         state = replay(grid, 9, rec.moves)
@@ -272,14 +271,16 @@ def test_trace_bytes_replay_at_nine_uavs():
     assert any(uav == 8 for rec in result.episodes for uav, _ in rec.moves)
 
 
-def test_traced_run_holds_a_few_bytes_per_move():
-    # Batch size 1 keeps the traced run short; grove_5x5's first episodes
-    # run hundreds of moves each, so a record's fixed cost is small next to
-    # its moves. The warm-up run makes the process's replay scratch, and
-    # held memory is what deleting the result frees, so numpy's own
-    # allocation caches do not count.
+@pytest.mark.parametrize("log_traces", [False, True], ids=["untraced", "traced"])
+def test_traced_run_holds_a_few_bytes_per_move(log_traces):
+    # Batch size 1 keeps the run short; grove_5x5's first episodes run
+    # hundreds of moves each, so a record's fixed cost is small next to its
+    # moves. The warm-up run makes the process's replay scratch, and held
+    # memory is what deleting the result frees, so numpy's own allocation
+    # caches do not count.
     spec = tiny_spec(
-        grid=load_bundled_map("grove_5x5"), max_episodes=4, batch_size=1, log_traces=True
+        grid=load_bundled_map("grove_5x5"), max_episodes=4, batch_size=1,
+        log_traces=log_traces,
     )
     run_seed(dataclasses.replace(spec, max_episodes=1), 2)
     tracemalloc.start()
@@ -364,8 +365,8 @@ def test_run_sweep_starts_at_most_one_worker_per_run(monkeypatch):
 
 def result_with_best(seed, best):
     if best is None:
-        return RunResult(seed=seed, episodes=(EpisodeRecord(0, False, (10,)),))
-    return RunResult(seed=seed, episodes=(EpisodeRecord(0, True, (best,)),))
+        return RunResult(seed=seed, episodes=(EpisodeRecord(0, False, (10,), bytes(10)),))
+    return RunResult(seed=seed, episodes=(EpisodeRecord(0, True, (best,), bytes(best)),))
 
 
 def test_aggregate_single_sample():
