@@ -93,9 +93,10 @@ class SwarmController:
     builds a single shared pair. Construction draws initial weights from
     ``rng`` in UAV order, so a fixed seed fixes every parameter.
 
-    Each network is drawn at the width of the whole three-plane image and
-    then keeps only the layer-1 columns of the ``live`` entries, so the
-    random stream and every kept weight are those of a full-width network.
+    Each network keeps only the layer-1 columns of the ``live`` entries.
+    ``init_network`` draws them from whole rows of the three-plane image's
+    width, so the random stream and every kept weight are those of a
+    full-width network, but no full-width W1 is made.
     """
 
     def __init__(self, spec: ExperimentSpec, rng: np.random.Generator) -> None:
@@ -105,12 +106,9 @@ class SwarmController:
         self._model_of = range(spec.n_uavs) if spec.mode == LOCAL else [0] * spec.n_uavs
         n_models = len(set(self._model_of))
         image_size = 3 * spec.grid.rows * spec.grid.cols
-        self.networks: list[QNetwork] = []
-        for _ in range(n_models):
-            net = init_network(image_size, rng)
-            # Sliced as soon as drawn, so only one full-width W1 is ever alive.
-            net.layer1.weights = net.layer1.weights.take(self.live, axis=1)
-            self.networks.append(net)
+        self.networks = [
+            init_network(image_size, rng, columns=self.live) for _ in range(n_models)
+        ]
         self.memories = [ReplayMemory(spec.memory_size) for _ in range(n_models)]
 
     def network_for(self, uav: int) -> QNetwork:

@@ -9,8 +9,9 @@ sequential SGD steps up to rounding. It returns the loss its steps
 descend, the mean squared TD error at the parameters each step starts
 from, so a pass evaluates no sample twice. It writes into one kept set of
 scratch arrays, for the layer-1 weight shape in use (the stacked inputs,
-their pre-activations, each sample's step, and the summed W1 step), so
-``train_step`` is neither re-entrant nor thread-safe.
+each sample's step, and one buffer that holds their pre-activations
+during the pass and the summed W1 step at its end), so ``train_step`` is
+neither re-entrant nor thread-safe.
 
 Q-values stay linear (unbounded) so they can regress onto reward-scale
 targets.
@@ -52,20 +53,35 @@ class QNetwork:
     layer2: DenseLayer
 
 
-def _init_layer(in_dim: int, out_dim: int, rng: np.random.Generator) -> DenseLayer:
+_DRAW_ROWS = 64  # rows of weights drawn at a time
+
+
+def _init_layer(
+    in_dim: int, out_dim: int, rng: np.random.Generator, columns=None
+) -> DenseLayer:
     # Symmetric uniform init scaled by 1/sqrt(fan-in); biases start at zero.
     scale = (1.0 / in_dim) ** 0.5
-    weights = rng.uniform(-scale, scale, size=(out_dim, in_dim))
+    columns = np.arange(in_dim) if columns is None else np.asarray(columns)
+    weights = np.empty((out_dim, len(columns)))
+    for start in range(0, out_dim, _DRAW_ROWS):
+        block = weights[start : start + _DRAW_ROWS]
+        draw = rng.uniform(-scale, scale, size=(len(block), in_dim))
+        draw.take(columns, axis=1, out=block)
     return DenseLayer(weights=weights, biases=np.zeros(out_dim))
 
 
-def init_network(input_size: int, rng: np.random.Generator) -> QNetwork:
+def init_network(input_size: int, rng: np.random.Generator, columns=None) -> QNetwork:
     """Build the network for observations of ``input_size`` values.
 
-    The same seed always produces the same parameters.
+    The same seed always produces the same parameters. ``columns``, an
+    index of the inputs the network reads, keeps only those layer-1
+    columns (by default every input). Whole rows are still drawn, a block
+    at a time, so the random stream, the generator's state afterwards and
+    every kept weight are those of the full network, yet no full-width W1
+    is made.
     """
     return QNetwork(
-        layer1=_init_layer(input_size, HIDDEN_UNITS, rng),
+        layer1=_init_layer(input_size, HIDDEN_UNITS, rng, columns),
         layer2=_init_layer(HIDDEN_UNITS, N_ACTIONS, rng),
     )
 
@@ -169,15 +185,22 @@ class _Scratch:
     ``len(steps)`` samples. Kept between passes, so that a pass allocates
     only small temporaries: its (k, 2k) Gram matrix, (2, hidden) row
     corrections, each sample's (hidden,) ReLU sign row, the b1 step, and
-    numpy's broadcast buffer for the bias."""
+    numpy's broadcast buffer for the bias.
+
+    ``z`` and ``w1_step`` are views of one buffer: the pre-activations are
+    dead once the per-sample loop ends, and the W1 step reads only the
+    steps and the inputs. So a set holds ``vectors``, ``steps`` and
+    ``max(2 * capacity * hidden, hidden * inputs)`` floats."""
 
     def __init__(self, capacity: int, hidden: int, inputs: int) -> None:
         # Small, but a fresh concatenation lifts a warm 16-sample pass's
         # allocation peak from 67 KB to 86 KB at 75 inputs, 129 KB at 243.
         self.vectors = np.empty((2 * capacity, inputs))  # observations, then next
-        self.z = np.empty((2 * capacity, hidden))  # their pre-activations, then ReLUs
         self.steps = np.empty((capacity, hidden))  # lr * grad_z1 of each sample
-        self.w1_step = np.empty((hidden, inputs))
+        shared = np.empty(max(2 * capacity * hidden, hidden * inputs))
+        # The vectors' pre-activations, then ReLUs; after the loop, the W1 step.
+        self.z = shared[: 2 * capacity * hidden].reshape(2 * capacity, hidden)
+        self.w1_step = shared[: hidden * inputs].reshape(hidden, inputs)
 
 
 # The one set, for the W1 shape last trained; its capacity a power of two.

@@ -1,5 +1,7 @@
 """Policy-layer tests: schedule, replay memory, targets, swarm stepping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from swarmcover.agent import (
     step_swarm,
     train_from_memory,
 )
-from swarmcover.densenet import forward, init_network
+from swarmcover.densenet import HIDDEN_UNITS, forward, init_network
 from swarmcover.experiment import ExperimentSpec, run_episode
 from swarmcover.gridworld import (
     Action,
@@ -425,6 +427,26 @@ def test_forward_consistency_through_controller():
     )
     after = forward(controller.network_for(0), obs)
     assert not np.array_equal(before, after)
+
+
+def test_building_a_controller_makes_no_full_width_w1():
+    """Each network is drawn a block of rows at a time at its live width:
+    building three block_9x9 networks never holds a (1013, 243) W1, so the
+    allocation peak above the finished networks stays well under one."""
+    spec = make_spec(load_bundled_map("block_9x9"), 3, LOCAL)
+    SwarmController(spec, np.random.default_rng(1))  # warm any lazy set-up
+    tracemalloc.start()
+    try:
+        controller = SwarmController(spec, np.random.default_rng(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(
+        layer.weights.nbytes + layer.biases.nbytes
+        for net in controller.networks
+        for layer in (net.layer1, net.layer2)
+    )
+    assert peak - kept < HIDDEN_UNITS * 243 * 8 // 4
 
 
 def test_narrow_network_trains_like_the_full_width_one():

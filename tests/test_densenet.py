@@ -76,6 +76,31 @@ def test_init_scale_and_zero_biases():
     assert not net.layer2.biases.any()
 
 
+@st.composite
+def sizes_and_columns(draw):
+    size = draw(st.integers(1, 300))
+    columns = draw(st.sets(st.integers(0, size - 1), min_size=1))
+    return size, np.array(sorted(columns))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes_and_columns(), st.integers(0, 2**32 - 1))
+def test_kept_columns_are_the_full_draws_bit_for_bit(size_and_columns, seed):
+    """``columns`` keeps layer-1 columns of the full-width draw: the same
+    kept weights, layer 2 and biases, and the generator left in the same
+    state."""
+    size, columns = size_and_columns
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    narrow = init_network(size, rng_a, columns=columns)
+    full = init_network(size, rng_b)
+    assert narrow.layer1.weights.flags.c_contiguous
+    assert np.array_equal(narrow.layer1.weights, full.layer1.weights[:, columns])
+    assert np.array_equal(narrow.layer1.biases, full.layer1.biases)
+    assert np.array_equal(narrow.layer2.weights, full.layer2.weights)
+    assert np.array_equal(narrow.layer2.biases, full.layer2.biases)
+    assert np.array_equal(rng_a.random(4), rng_b.random(4))
+
+
 # --- forward -----------------------------------------------------------------
 
 
@@ -448,6 +473,23 @@ def test_scratch_arrays_carry_nothing_between_passes():
         (second.layer2.biases, first.layer2.biases),
     ]:
         assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("inputs", [75, 243])
+def test_preactivations_and_w1_step_share_one_buffer(inputs):
+    """The pre-activations are dead once the per-sample loop ends, so the
+    W1 step is written over them: a set holds the stacked inputs, the
+    steps, and the larger of the two."""
+    net = init_network(inputs, np.random.default_rng(3))
+    train_step(net, *replay_pass_inputs(4, inputs, 16))
+    scratch = densenet._scratch
+    assert np.shares_memory(scratch.z, scratch.w1_step)
+    arrays = scratch.vectors, scratch.steps, scratch.z, scratch.w1_step
+    owners = {id(owner): owner for owner in (a if a.base is None else a.base for a in arrays)}
+    assert sum(owner.nbytes for owner in owners.values()) == (
+        scratch.vectors.nbytes + scratch.steps.nbytes
+        + max(scratch.z.nbytes, scratch.w1_step.nbytes)
+    )
 
 
 def test_runs_on_every_bundled_map_leave_one_scratch_set():
