@@ -36,8 +36,13 @@ for mode in (LOCAL, GLOBAL):
         best = run.best_total_actions
         note = f"best {best} actions" if best is not None else "never covered"
         print(f"  seed {run.seed}: {note}")
-    print(f"  mean over covering seeds: {stats.mean:.2f} ± {stats.std:.2f} "
-          f"({stats.n_runs} covered, {stats.n_failed} failed)\n")
+    # With no covering seed, aggregate counts every seed as failed and
+    # leaves mean and std as None.
+    if stats.n_runs == 0:
+        print(f"  no covering seed ({stats.n_failed} failed)\n")
+    else:
+        print(f"  mean over covering seeds: {stats.mean:.2f} ± {stats.std:.2f} "
+              f"({stats.n_runs} covered, {stats.n_failed} failed)\n")
 
 print("With one UAV the two modes are the same machine: a single network,")
 print("a single memory.  The library exploits that for an exactness test.")

@@ -12,7 +12,6 @@ everything else is imported from its module.
 from .agent import GLOBAL, LOCAL
 from .densenet import NumericalError, forward, init_network, train_step
 from .experiment import (
-    AllRunsFailedError,
     ConfigError,
     ExperimentSpec,
     aggregate,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action",
-    "AllRunsFailedError",
     "ConfigError",
     "ExperimentSpec",
     "GLOBAL",

@@ -32,7 +32,6 @@ import sys
 
 from .agent import MODES
 from .experiment import (
-    AllRunsFailedError,
     ConfigError,
     ExperimentSpec,
     RunResult,
@@ -331,9 +330,8 @@ def _temp_path(path: str) -> str:
 
 
 def _format_cell(results: list[RunResult]) -> str:
-    try:
-        stats = aggregate(results)
-    except AllRunsFailedError:
+    stats = aggregate(results)
+    if stats.n_runs == 0:
         return "no coverage"
     text = f"{stats.mean:.2f} ± {stats.std:.2f}"
     if stats.n_failed:

@@ -53,10 +53,6 @@ class ConfigError(ValueError):
     """An experiment specification is inconsistent or out of range."""
 
 
-class AllRunsFailedError(RuntimeError):
-    """No seed of an experiment produced a covering episode."""
-
-
 # ---------------------------------------------------------------------------
 # The settings table. Every ExperimentSpec field except ``grid`` is also a
 # key of the ``swarmcover run`` config file; the CLI derives its known keys,
@@ -261,10 +257,11 @@ class RunResult:
 
 @dataclass(frozen=True)
 class AggregateStats:
-    """Mean and sample std of best totals over the seeds that covered."""
+    """Mean and sample std of best totals over the seeds that covered;
+    both None when no seed covered."""
 
-    mean: float
-    std: float
+    mean: float | None
+    std: float | None
     n_runs: int
     n_failed: int
 
@@ -342,21 +339,18 @@ def run_sweep(
 
 def aggregate(results: list[RunResult]) -> AggregateStats:
     """Mean and sample standard deviation (n-1; a single sample has
-    std 0) of best_total_actions over the seeds that achieved coverage.
-
-    Raises AllRunsFailedError when no seed covered the map.
+    std 0) of best_total_actions over the seeds that achieved coverage,
+    with the other seeds counted in ``n_failed``. When no seed covered,
+    ``mean`` and ``std`` are None and ``n_runs`` is 0.
     """
     if not results:
         raise ValueError("no results to aggregate")
     best = [r.best_total_actions for r in results if r.best_total_actions is not None]
-    n_failed = len(results) - len(best)
-    if not best:
-        raise AllRunsFailedError(
-            f"none of the {len(results)} runs produced a covering episode"
-        )
-    mean = float(np.mean(best))
-    std = 0.0 if len(best) == 1 else float(np.std(best, ddof=1))
-    return AggregateStats(mean=mean, std=std, n_runs=len(best), n_failed=n_failed)
+    mean = std = None
+    if best:
+        mean = float(np.mean(best))
+        std = 0.0 if len(best) == 1 else float(np.std(best, ddof=1))
+    return AggregateStats(mean, std, n_runs=len(best), n_failed=len(results) - len(best))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line tests: argument handling, exit codes, output formatting."""
 
 import codecs
+import csv
 import json
 import multiprocessing
 import os
@@ -31,6 +32,13 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def source_env():
+    """The environment for a fresh interpreter that imports this checkout's
+    package, installed or not."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def tiny_config(tmp_path, extra_run="", training="", name="run.ini"):
     map_path = write(tmp_path, "tiny.txt", TINY_MAP)
     body = (
@@ -58,6 +66,23 @@ def test_maps_lists_five_entries(capsys):
     assert any(line.startswith("block_9x9") and "circled" in line for line in lines)
     for map_id in ("corners_6x6", "skew_7x7", "diagonal_8x8"):
         assert any(line.startswith(map_id) for line in lines)
+
+
+def test_module_entry_point_exits_with_main_status(tmp_path):
+    # `python -m swarmcover.cli` runs the same main as the console script.
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "swarmcover.cli", *argv],
+            capture_output=True, text=True, env=source_env(), cwd=tmp_path, timeout=120,
+        )
+
+    listed = run("maps")
+    assert listed.returncode == 0, listed.stderr
+    assert any(line.startswith("grove_5x5") for line in listed.stdout.splitlines())
+    refused = run("run", str(tmp_path / "ghost.ini"))
+    assert refused.returncode == 1
+    lines = refused.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), refused.stderr
 
 
 # --- run: happy paths -------------------------------------------------------------
@@ -111,6 +136,27 @@ def test_run_parallelism_matches_sequential(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_run_with_no_covering_seed(tmp_path, capsys, parallelism):
+    # One action cannot visit the eight free cells, so no seed covers: the
+    # sweep still succeeds, and its cell and summary rows say so.
+    map_path = write(tmp_path, "ring.txt", ".1.\n.#.\n23.\n")
+    config = write(
+        tmp_path,
+        "run.ini",
+        f"[run]\nmaps = {map_path}\noutput = {tmp_path}/out.csv\nepisodes = 2\n"
+        "seeds = 1, 2\nstep_budget = 1\n",
+    )
+    assert main(["run", config, "--parallelism", parallelism]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"{map_path}  no coverage"
+    with open(tmp_path / "out.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    summaries = [row for row in rows if row["episode"] == "summary"]
+    assert [row["seed"] for row in summaries] == ["1", "2"]
+    assert all(row["covered"] == "false" for row in summaries)
+    assert all(row["best_total_actions"] == "" for row in summaries)
+
+
 @pytest.mark.skipif(
     "forkserver" not in multiprocessing.get_all_start_methods(), reason="no forkserver here"
 )
@@ -128,10 +174,9 @@ def test_pool_under_forkserver_matches_sequential(tmp_path):
         "multiprocessing.set_start_method('forkserver')\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", script, *argv, str(pooled), "--parallelism", "2"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+        capture_output=True, text=True, env=source_env(), timeout=300,
     )
     assert done.returncode == 0, done.stderr
     for suffix in ("", ".traces.json"):

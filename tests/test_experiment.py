@@ -13,7 +13,6 @@ from swarmcover.agent import SwarmController
 from swarmcover.densenet import NumericalError
 from swarmcover.experiment import (
     CSV_HEADER,
-    AllRunsFailedError,
     ConfigError,
     ExperimentSpec,
     RunResult,
@@ -391,8 +390,11 @@ def test_aggregate_excludes_failed_seeds():
 
 
 def test_aggregate_all_failed():
-    with pytest.raises(AllRunsFailedError):
-        aggregate([result_with_best(1, None), result_with_best(2, None)])
+    stats = aggregate([result_with_best(1, None), result_with_best(2, None)])
+    assert stats.mean is None and stats.std is None
+    assert (stats.n_runs, stats.n_failed) == (0, 2)
+    with pytest.raises(ValueError):
+        aggregate([])
 
 
 # --- CSV and traces -----------------------------------------------------------------
