@@ -9,12 +9,10 @@ Three subcommands, all thin wrappers over the library:
   from the sidecar next to the CSV and print the covered map.
 * ``maps``            -- list the bundled maps.
 
-Exit codes: 0 success, 1 configuration error (bad flags, bad config
-file, missing or invalid map), 2 runtime error: any RuntimeError (a
-missing or malformed trace sidecar, no matching trace, a trace that does
-not replay to its recorded result, an empty output path or one naming a
-directory or an input file, a worker process that died), OSError
-(output files unwritable) or ArithmeticError (training diverged).
+``main`` maps what escapes a command to its exit code: ConfigError and
+MapError to 1 (a configuration error), RuntimeError, OSError and
+ArithmeticError to 2 (a runtime error), each with one ``error:`` line on
+stderr. A closed stdout is not an error: its BrokenPipeError exits 0.
 """
 
 from __future__ import annotations
@@ -165,7 +163,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()  # so that buffered output fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader of stdout has gone (`swarmcover maps | head -1`). A
+        # command prints after it has written its files, so nothing failed.
+        # stdout now writes to the null device, so that the interpreter's
+        # flush at exit drops what is still buffered without an error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ConfigError, MapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -85,6 +85,45 @@ def test_module_entry_point_exits_with_main_status(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: "), refused.stderr
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["maps", "run"])
+def test_closed_stdout_is_not_a_failed_run(tmp_path, capsys, command, unbuffered):
+    # The reader of stdout has gone before the command prints: a buffered
+    # stdout fails at its flush, an unbuffered one at the first print.
+    config, _ = tiny_config(tmp_path, extra_run="log_traces = true\n")
+    run = ["run", config, "--episodes", "1", "--output"]
+    argv = {"maps": ["maps"], "run": [*run, str(tmp_path / "closed.csv")]}
+    env = source_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "swarmcover.cli", *argv[command]],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
+    if command == "run":
+        assert main([*run, str(tmp_path / "open.csv")]) == 0
+        for suffix in ("", cli.TRACE_SUFFIX):
+            closed = (tmp_path / f"closed.csv{suffix}").read_bytes()
+            assert closed == (tmp_path / f"open.csv{suffix}").read_bytes()
+
+
+def test_process_without_stdout_exits_zero(tmp_path):
+    # With fd 1 closed at start, sys.stdout is None and prints are dropped.
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "swarmcover.cli", "maps"],
+        stderr=subprocess.PIPE, text=True, env=source_env(), cwd=tmp_path, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 # --- run: happy paths -------------------------------------------------------------
 
 
@@ -605,6 +644,30 @@ def test_readme_reference_lists_every_config_key():
             expected = cli._default_text(cli._SETTINGS[section, key])
             assert f" (default: {default.strip()})" == expected, key
     assert documented == cli._SETTINGS.keys()
+
+
+def test_readme_example_config_builds_its_sweep(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    example = re.search(r"`sweep\.ini` such as:\n\n```ini\n(.*?)```", text, re.S).group(1)
+    config = write(tmp_path, "sweep.ini", example)
+    built = []
+
+    class Trained(Exception):
+        pass
+
+    def run_sweep(specs, parallelism):
+        built.extend(specs)
+        raise Trained
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(Trained):
+        status = main(["run", config])
+        pytest.fail(f"exit {status}: {capsys.readouterr().err}")
+    assert [(spec.map_id, spec.n_uavs, spec.mode) for spec in built] == [
+        ("grove_5x5", n_uavs, mode) for n_uavs in (1, 2, 3) for mode in ("local", "global")
+    ]
 
 
 def test_readme_maps_table_lists_every_bundled_map():
