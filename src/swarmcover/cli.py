@@ -12,7 +12,8 @@ Three subcommands, all thin wrappers over the library:
 ``main`` maps what escapes a command to its exit code: ConfigError and
 MapError to 1 (a configuration error), RuntimeError, OSError and
 ArithmeticError to 2 (a runtime error), each with one ``error:`` line on
-stderr. A closed stdout is not an error: its BrokenPipeError exits 0.
+stderr. A closed stdout is not an error: its BrokenPipeError exits 0. Nor
+is a stdout that cannot encode a character: it prints the backslash escape.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .gridworld import (
     resolve_map,
 )
 
-OUTPUT_DIR_ENV = "SWARMCOVER_OUTPUT_DIR"
 TRACE_SUFFIX = ".traces.json"
 
 # Every config key is a field of ExperimentSpec or SweepOptions; the field
@@ -95,9 +95,6 @@ def _help_text() -> str:
     lines += [
         "",
         "unknown keys and sections are rejected. command line flags override file values.",
-        "",
-        "environment:",
-        f"  {OUTPUT_DIR_ENV}  directory prepended to relative output paths",
         "",
         "exit codes: 0 success, 1 configuration error, 2 runtime error",
     ]
@@ -162,6 +159,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        # What stdout cannot encode (`±` on an ASCII stream) prints as its
+        # backslash escape, as on stderr. Not on a StringIO, nor on None.
+        if hasattr(sys.stdout, "reconfigure"):
+            sys.stdout.reconfigure(errors="backslashreplace")
         args = _build_parser().parse_args(argv)
         status = args.func(args)
         if sys.stdout is not None:  # None when the process started without fd 1
@@ -315,9 +316,6 @@ def _resolve_output_paths(output: str, inputs: list[str]) -> list[str]:
     before it makes their directory, so a refusal leaves none behind."""
     if not output:
         raise RuntimeError("output path is empty")
-    base_dir = os.environ.get(OUTPUT_DIR_ENV)
-    if base_dir and not os.path.isabs(output):
-        output = os.path.join(base_dir, output)
     paths = [output, output + TRACE_SUFFIX]
     for path in paths:
         # A path that ends in a separator, "." or ".." names a directory.

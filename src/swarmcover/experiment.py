@@ -326,8 +326,6 @@ def run_sweep(
     Results come back per spec in seed order regardless of which worker
     finished first, so output files are reproducible.
     """
-    if parallelism < 1:
-        raise ValueError("parallelism must be positive")
     runs = [replace(spec, seeds=(seed,)) for spec in specs for seed in spec.seeds]
     workers = min(parallelism, len(runs))
     if workers > 1:  # only a pool needs multiprocessing, so only a pool imports it

@@ -115,6 +115,33 @@ def test_closed_stdout_is_not_a_failed_run(tmp_path, capsys, command, unbuffered
             assert closed == (tmp_path / f"open.csv{suffix}").read_bytes()
 
 
+def test_unencodable_stdout_prints_escapes(tmp_path):
+    # An ASCII stdout cannot encode `±` or `▪`: each prints as its backslash
+    # escape, and the finished run and the render still exit 0.
+    config, map_path = tiny_config(tmp_path, extra_run="log_traces = true\n")
+    csv_path = tmp_path / "results.csv"
+
+    def run(encoding, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "swarmcover.cli", *argv],
+            capture_output=True, env=dict(source_env(), PYTHONIOENCODING=encoding),
+            cwd=tmp_path, timeout=120,
+        )
+
+    for argv, escape in [
+        (["run", config], b"\\xb1"),
+        (["render", str(csv_path), "--map", map_path, "--seed", "1"], b"\\u25aa"),
+    ]:
+        ascii_run = run("ascii", *argv)
+        assert (ascii_run.returncode, ascii_run.stderr) == (0, b"")
+        assert escape in ascii_run.stdout
+        assert csv_path.exists() and Path(f"{csv_path}{cli.TRACE_SUFFIX}").exists()
+        utf8_run = run("utf-8", *argv)
+        assert (utf8_run.returncode, utf8_run.stderr) == (0, b"")
+        text = utf8_run.stdout.decode("utf-8")
+        assert text.encode("ascii", "backslashreplace") == ascii_run.stdout
+
+
 def test_process_without_stdout_exits_zero(tmp_path):
     # With fd 1 closed at start, sys.stdout is None and prints are dropped.
     done = subprocess.run(
@@ -196,6 +223,19 @@ def test_run_with_no_covering_seed(tmp_path, capsys, parallelism):
     assert all(row["best_total_actions"] == "" for row in summaries)
 
 
+def test_run_with_some_covering_seeds(tmp_path, capsys):
+    # Within 2 episodes of at most 16 actions, seeds 2 and 3 cover the tiny
+    # map in 11 and 3 actions and seed 1 does not: the cell averages the two
+    # and counts the third.
+    config, map_path = tiny_config(tmp_path, extra_run="step_budget = 16\n")
+    assert main(["run", config, "--episodes", "2", "--seeds", "1, 2, 3"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"{map_path}  7.00 ± 5.66 (1 failed)"
+    with open(tmp_path / "results.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    summaries = [row for row in rows if row["episode"] == "summary"]
+    assert [row["best_total_actions"] for row in summaries] == ["", "11", "3"]
+
+
 @pytest.mark.skipif(
     "forkserver" not in multiprocessing.get_all_start_methods(), reason="no forkserver here"
 )
@@ -236,8 +276,11 @@ def test_log_traces_changes_no_result(tmp_path, capsys):
 
 
 def test_output_dir_environment_variable(tmp_path, monkeypatch):
+    # The config file and its flags are every input of a run: a relative
+    # output lands in the working directory whatever the environment says.
     outdir = tmp_path / "outputs"
     monkeypatch.setenv("SWARMCOVER_OUTPUT_DIR", str(outdir))
+    monkeypatch.chdir(tmp_path)
     map_path = write(tmp_path, "tiny.txt", TINY_MAP)
     config = write(
         tmp_path,
@@ -245,7 +288,9 @@ def test_output_dir_environment_variable(tmp_path, monkeypatch):
         f"[run]\nmaps = {map_path}\nseeds = 1\nepisodes = 2\noutput = env.csv\n",
     )
     assert main(["run", config]) == 0
-    assert (outdir / "env.csv").exists()
+    assert (tmp_path / "env.csv").exists()
+    assert (tmp_path / "env.csv.traces.json").exists()
+    assert not outdir.exists()
 
 
 def test_percent_in_value_is_literal(tmp_path):
@@ -660,7 +705,6 @@ def test_readme_example_config_builds_its_sweep(tmp_path, monkeypatch, capsys):
         raise Trained
 
     monkeypatch.setattr(cli, "run_sweep", run_sweep)
-    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
     with pytest.raises(Trained):
         status = main(["run", config])
@@ -701,6 +745,26 @@ def test_render_best_episode(tmp_path, capsys):
     assert joined.count("#") == 1  # the obstacle is never shown as visited
     assert "1" in joined  # final UAV position
     assert "actions" in out.splitlines()[0]
+
+
+def test_render_notes_other_matching_runs(tmp_path, capsys):
+    # Four runs share (map, seed); render draws the first in the sidecar and
+    # says how to pick another.
+    config, map_path = tiny_config(
+        tmp_path, extra_run="uavs = 1, 2\nmodes = local, global\nlog_traces = true\n"
+    )
+    assert main(["run", config]) == 0
+    csv_path = str(tmp_path / "results.csv")
+    first = json.loads(Path(csv_path + cli.TRACE_SUFFIX).read_text())["traces"][0]
+    assert (first["n_uavs"], first["mode"]) == (1, "local")
+    capsys.readouterr()
+    assert main(["render", csv_path, "--map", map_path, "--seed", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == (
+        f"{map_path}  seed 1  1 uav local  best episode {first['best_episode']}: "
+        f"{first['total_actions']} actions"
+    )
+    assert err == "note: 4 runs match; rendering 1 uav local (narrow with --uavs/--mode)\n"
 
 
 def test_render_move_count_matches_best(tmp_path):
@@ -839,7 +903,6 @@ def test_unusable_output_path_fails_before_training(tmp_path, monkeypatch, capsy
         return [[] for _ in specs]
 
     monkeypatch.setattr(cli, "run_sweep", run_sweep)
-    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     output = str(tmp_path / "blocker" / "results.csv")
     assert main(["run", config, "--output", output]) == 2
     assert trained == []
@@ -857,35 +920,19 @@ def test_unusable_output_path_fails_before_training(tmp_path, monkeypatch, capsy
         assert f"{directory} is a directory" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
-    # An empty path names no file, also under an output directory, which
-    # is then not made.
-    base_dir = tmp_path / "base"
-    for env in [None, str(base_dir)]:
-        if env is not None:
-            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, env)
-        assert main(["run", config, "--output", ""]) == 2
-        assert trained == []
-        assert "output path is empty" in capsys.readouterr().err
-    assert not base_dir.exists()
+    # An empty path names no file.
+    assert main(["run", config, "--output", ""]) == 2
+    assert trained == []
+    assert capsys.readouterr().err == "error: output path is empty\n"
 
     # A path that ends in a separator, "." or ".." names a directory even
-    # before it exists; it is refused before any directory is made, under
-    # an output directory too.
+    # before it exists; it is refused before any directory is made.
     monkeypatch.chdir(tmp_path)
     before = sorted(tmp_path.rglob("*"))
-    for env, output, shown in [
-        (None, "newdir/", "newdir/"),
-        (None, "a/b/c/", "a/b/c/"),
-        (None, "out/.", "out/."),
-        (None, "o2/..", "o2/.."),
-        ("base", "nd/", "base/nd/"),
-    ]:
-        monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
-        if env is not None:
-            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, env)
+    for output in ["newdir/", "a/b/c/", "out/.", "o2/.."]:
         assert main(["run", config, "--output", output]) == 2
         assert trained == []
-        assert capsys.readouterr().err == f"error: output path {shown} is a directory\n"
+        assert capsys.readouterr().err == f"error: output path {output} is a directory\n"
         assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -900,7 +947,6 @@ def test_unusable_output_path_fails_before_training(tmp_path, monkeypatch, capsy
 )
 def test_output_never_replaces_an_input(tmp_path, monkeypatch, capsys, maps, output, source):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     (tmp_path / maps).write_text(TINY_MAP)
     (tmp_path / "run.ini").write_text(f"[run]\nmaps = {maps}\noutput = {output}\nseeds = 1\n")
     if output == "hard.csv":
@@ -1004,7 +1050,6 @@ def test_missing_output_directory_at_write_exits_two(tmp_path, monkeypatch, caps
         return results
 
     monkeypatch.setattr(cli, "run_sweep", run_sweep_then_remove_output)
-    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     assert main(["run", config, "--output", str(out_dir / "r.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno 2] No such file or directory: ")
