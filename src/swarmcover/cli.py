@@ -66,9 +66,9 @@ _SETTINGS = {
 }
 
 
-def _flag(key: str) -> str:
-    """The command line option of the config key ``key``."""
-    return "--" + key.replace("_", "-")
+def _flag(name: str) -> str:
+    """The command line option of the SweepOptions field ``name``."""
+    return "--" + name.replace("_", "-")
 
 
 def _default_text(f: dataclasses.Field) -> str:
@@ -94,7 +94,9 @@ def _help_text() -> str:
         )
     lines += [
         "",
-        "unknown keys and sections are rejected. command line flags override file values.",
+        "unknown keys and sections are rejected. "
+        + " and ".join(_flag(f.name) for f in dataclasses.fields(SweepOptions))
+        + " override the file.",
         "",
         "exit codes: 0 success, 1 configuration error, 2 runtime error",
     ]
@@ -126,19 +128,11 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     run_p.add_argument("config", help="INI configuration file")
-    for (_, key), f in _SETTINGS.items():
-        if not f.metadata["flag"]:
-            continue
-        if isinstance(f.default, bool):
-            takes = {"action": "store_true"}
-        else:
-            takes = {"metavar": key.upper()}
+    for f in dataclasses.fields(SweepOptions):
         run_p.add_argument(
-            _flag(key),
-            dest=f.name,
-            default=None,
+            _flag(f.name),
+            metavar=f.name.upper(),
             help=f"{f.metadata['help']} (overrides the file)",
-            **takes,
         )
     run_p.set_defaults(func=cmd_run)
 
@@ -271,13 +265,11 @@ def _read_settings(path: str, args) -> dict:
 
     for (section, key), f in _SETTINGS.items():
         flag = getattr(args, f.name, None)
-        if isinstance(flag, str):
-            try:
-                flag = _parse(f, flag)
-            except ValueError as exc:
-                raise ConfigError(f"{_flag(key)}: {exc}") from exc
         if flag is not None:
-            settings[f.name] = flag
+            try:
+                settings[f.name] = _parse(f, flag)
+            except ValueError as exc:
+                raise ConfigError(f"{_flag(f.name)}: {exc}") from exc
         elif f.name not in settings and f.default is dataclasses.MISSING:
             raise ConfigError(f"{path}: missing required key {key!r} in [{section}]")
     return settings
@@ -311,15 +303,12 @@ def _build_specs(settings: dict) -> tuple[list[ExperimentSpec], list[str]]:
 
 
 def _resolve_output_paths(output: str, inputs: list[str]) -> list[str]:
-    """The results CSV at ``output`` and its trace sidecar. Refuses an
-    empty path, or a directory or one of the ``inputs`` files at either,
-    before it makes their directory, so a refusal leaves none behind."""
-    if not output:
-        raise RuntimeError("output path is empty")
+    """The results CSV at ``output`` and its trace sidecar. Refuses a
+    directory or one of the ``inputs`` files at either, before it makes
+    their directory, so a refusal leaves none behind."""
     paths = [output, output + TRACE_SUFFIX]
     for path in paths:
-        # A path that ends in a separator, "." or ".." names a directory.
-        if os.path.isdir(path) or os.path.basename(path) in ("", ".", ".."):
+        if os.path.isdir(path):
             raise RuntimeError(f"output path {path} is a directory")
         for source in inputs:  # however either path is spelled or linked
             if os.path.exists(path) and os.path.samefile(path, source):

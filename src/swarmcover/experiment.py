@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -88,17 +89,15 @@ _UNIT = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
 
 
 def _setting(
-    default, parse, help_text, *, section, key=None, sweep=False, flag=False, rule=None
+    default, parse, help_text, *, section, key=None, sweep=False, rule=None
 ):
     """A field that is also the config key ``key`` (default: the field name)
     under ``[section]``; ``parse`` turns the key's text into a value. The
     parser of a ``sweep`` key returns a tuple, and the CLI builds one spec
-    per combination of sweep values. A ``flag`` key is also a command line
-    option that overrides the file. ``rule`` is a (test, text) pair: ``test``
+    per combination of sweep values. ``rule`` is a (test, text) pair: ``test``
     checks each value or sweep item, and ``text`` says what it asks for."""
     metadata = dict(
-        section=section, key=key, parse=parse, help=help_text, sweep=sweep, flag=flag,
-        rule=rule,
+        section=section, key=key, parse=parse, help=help_text, sweep=sweep, rule=rule,
     )
     return field(default=default, metadata=metadata)
 
@@ -134,14 +133,14 @@ class ExperimentSpec:
         rule=(lambda v: v in MODES, f"must be one of {', '.join(MODES)}"),
     )
     seeds: tuple[int, ...] = _run(
-        (1, 2, 3, 4, 5), _ints, "integer seeds", flag=True,
+        (1, 2, 3, 4, 5), _ints, "integer seeds",
         rule=(
             lambda v: v and min(v) >= 0 and len(set(v)) == len(v),
             "must be one or more distinct non-negative integers",
         ),
     )
     max_episodes: int = _run(
-        30, int, "episodes per run", key="episodes", flag=True, rule=_POSITIVE
+        30, int, "episodes per run", key="episodes", rule=_POSITIVE
     )
     step_budget: int | None = _run(
         None, int, "per-episode cap on total swarm actions "
@@ -168,7 +167,7 @@ class ExperimentSpec:
     )
     allow_shared_cells: bool = _training(False, _boolean, "let UAVs stack on one cell")
     log_traces: bool = _run(
-        False, _boolean, "write best-episode traces for `render`", flag=True
+        False, _boolean, "write best-episode traces for `render`"
     )
 
     def __post_init__(self) -> None:
@@ -202,11 +201,15 @@ class ExperimentSpec:
 @dataclass(frozen=True)
 class SweepOptions:
     """Settings of a whole config-file sweep that belong to no single
-    experiment."""
+    experiment, and the only ones a command line flag may override: where
+    the output goes and how many processes compute it change no byte of it."""
 
-    output: str = _run("results.csv", str, "results CSV path", flag=True)
+    output: str = _run(
+        "results.csv", str, "results CSV path",
+        rule=(lambda v: os.path.basename(v) not in ("", ".", ".."), "must name a file"),
+    )
     parallelism: int = _run(
-        1, int, "worker processes for independent runs", flag=True, rule=_POSITIVE
+        1, int, "worker processes for independent runs", rule=_POSITIVE
     )
 
     __post_init__ = _check_rules

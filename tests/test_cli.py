@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from swarmcover import cli
 from swarmcover.cli import main
+from swarmcover.experiment import SweepOptions
 from swarmcover.gridworld import BUNDLED_MAP_NOTES, load_bundled_map
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,14 +41,14 @@ def source_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
-def tiny_config(tmp_path, extra_run="", training="", name="run.ini"):
+def tiny_config(tmp_path, extra_run="", training="", name="run.ini", episodes=5, seeds="1"):
     map_path = write(tmp_path, "tiny.txt", TINY_MAP)
     body = (
         "[run]\n"
         f"maps = {map_path}\n"
         f"output = {tmp_path}/results.csv\n"
-        "episodes = 5\n"
-        "seeds = 1\n"
+        f"episodes = {episodes}\n"
+        f"seeds = {seeds}\n"
         f"{extra_run}"
     )
     if training:
@@ -90,8 +92,8 @@ def test_module_entry_point_exits_with_main_status(tmp_path):
 def test_closed_stdout_is_not_a_failed_run(tmp_path, capsys, command, unbuffered):
     # The reader of stdout has gone before the command prints: a buffered
     # stdout fails at its flush, an unbuffered one at the first print.
-    config, _ = tiny_config(tmp_path, extra_run="log_traces = true\n")
-    run = ["run", config, "--episodes", "1", "--output"]
+    config, _ = tiny_config(tmp_path, extra_run="log_traces = true\n", episodes=1)
+    run = ["run", config, "--output"]
     argv = {"maps": ["maps"], "run": [*run, str(tmp_path / "closed.csv")]}
     env = source_env()
     env.pop("PYTHONUNBUFFERED", None)
@@ -176,30 +178,65 @@ def test_run_reruns_byte_identical(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_run_flag_overrides(tmp_path):
-    config, _ = tiny_config(tmp_path, extra_run="uavs = 1\n")
+def test_run_flag_overrides(tmp_path, monkeypatch):
+    # --output and --parallelism override the file's output and parallelism.
+    config, _ = tiny_config(tmp_path, extra_run="parallelism = 1\n", episodes=2, seeds="1, 9")
     out = tmp_path / "flags.csv"
-    assert main(
-        ["run", config, "--episodes", "2", "--seeds", "9", "--output", str(out)]
-    ) == 0
+    run_sweep, workers = cli.run_sweep, []
+
+    def recording_run_sweep(specs, parallelism):
+        workers.append(parallelism)
+        return run_sweep(specs, parallelism)
+
+    monkeypatch.setattr(cli, "run_sweep", recording_run_sweep)
+    assert main(["run", config, "--output", str(out), "--parallelism", "2"]) == 0
+    assert workers == [2]
+    assert not (tmp_path / "results.csv").exists()
     lines = out.read_text().splitlines()
-    assert len(lines) == 1 + 2 + 1
-    assert all(line.split(",")[3] == "9" for line in lines[1:])
+    assert len(lines) == 1 + 2 * (2 + 1)
+    assert [line.split(",")[3] for line in lines[1:]] == ["1"] * 3 + ["9"] * 3
+
+
+def test_only_sweep_options_have_flags(tmp_path, monkeypatch, capsys):
+    # The config file alone fixes what a sweep computes: a flag says only
+    # where its output goes and how many processes compute it.
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M) == [
+        "--output", "--parallelism"
+    ]
+    monkeypatch.setattr(cli, "run_sweep", lambda specs, parallelism: pytest.fail("trained"))
+    config, _ = tiny_config(tmp_path)
+    for argv in (["--seeds", "1"], ["--episodes", "2"], ["--log-traces"]):
+        assert main(["run", config, *argv]) == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(argv)}\n"
 
 
 def test_run_parallelism_matches_sequential(tmp_path):
-    config, map_path = tiny_config(tmp_path, extra_run="uavs = 1, 2\n")
-    a, b = tmp_path / "seq.csv", tmp_path / "par.csv"
+    # A flag changes no result byte: a traced sweep written to another path
+    # by more workers has the same CSV and the same sidecar.
+    config, map_path = tiny_config(tmp_path, extra_run="uavs = 1, 2\nlog_traces = true\n")
+    a, b = tmp_path / "a" / "x.csv", tmp_path / "b" / "y.csv"
+
+    def same_bytes():
+        return all(
+            Path(f"{a}{suffix}").read_bytes() == Path(f"{b}{suffix}").read_bytes()
+            for suffix in ("", cli.TRACE_SUFFIX)
+        )
+
     assert main(["run", config, "--output", str(a), "--parallelism", "1"]) == 0
     assert main(["run", config, "--output", str(b), "--parallelism", "2"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    assert same_bytes()
+    assert json.loads(Path(f"{a}{cli.TRACE_SUFFIX}").read_text())["traces"]
 
     one_spec = write(
-        tmp_path, "seeds.ini", f"[run]\nmaps = {map_path}\nepisodes = 5\nseeds = 1, 2, 3\n"
+        tmp_path,
+        "seeds.ini",
+        f"[run]\nmaps = {map_path}\nepisodes = 5\nseeds = 1, 2, 3\nlog_traces = true\n",
     )
     assert main(["run", one_spec, "--output", str(a), "--parallelism", "1"]) == 0
     assert main(["run", one_spec, "--output", str(b), "--parallelism", "2"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    assert same_bytes()
 
 
 @pytest.mark.parametrize("parallelism", ["1", "2"])
@@ -227,8 +264,10 @@ def test_run_with_some_covering_seeds(tmp_path, capsys):
     # Within 2 episodes of at most 16 actions, seeds 2 and 3 cover the tiny
     # map in 11 and 3 actions and seed 1 does not: the cell averages the two
     # and counts the third.
-    config, map_path = tiny_config(tmp_path, extra_run="step_budget = 16\n")
-    assert main(["run", config, "--episodes", "2", "--seeds", "1, 2, 3"]) == 0
+    config, map_path = tiny_config(
+        tmp_path, extra_run="step_budget = 16\n", episodes=2, seeds="1, 2, 3"
+    )
+    assert main(["run", config]) == 0
     assert capsys.readouterr().out.splitlines()[1] == f"{map_path}  7.00 ± 5.66 (1 failed)"
     with open(tmp_path / "results.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
@@ -243,9 +282,11 @@ def test_pool_under_forkserver_matches_sequential(tmp_path):
     # forkserver (Python 3.14's default on Linux) starts workers that import
     # the package afresh rather than inherit this process's modules. A start
     # method is set once per process, so the pooled sweep runs in a new one.
-    config, _ = tiny_config(tmp_path, extra_run="uavs = 1, 2\nlog_traces = true\n")
+    config, _ = tiny_config(
+        tmp_path, extra_run="uavs = 1, 2\nlog_traces = true\n", seeds="1, 2"
+    )
     sequential, pooled = tmp_path / "seq.csv", tmp_path / "pool.csv"
-    argv = ["run", config, "--seeds", "1, 2", "--output"]
+    argv = ["run", config, "--output"]
     assert main([*argv, str(sequential), "--parallelism", "1"]) == 0
     script = (
         "import multiprocessing, sys\n"
@@ -264,11 +305,12 @@ def test_pool_under_forkserver_matches_sequential(tmp_path):
 
 
 def test_log_traces_changes_no_result(tmp_path, capsys):
-    config, _ = tiny_config(tmp_path, extra_run="uavs = 1, 2\nmodes = local, global\n")
     printed = {}
-    for name, argv in [("traced", ["--log-traces"]), ("untraced", [])]:
+    for name, traces in [("traced", "log_traces = true\n"), ("untraced", "")]:
+        sweep = "uavs = 1, 2\nmodes = local, global\n" + traces
+        config, _ = tiny_config(tmp_path, extra_run=sweep, name=f"{name}.ini")
         output = str(tmp_path / f"{name}.csv")
-        assert main(["run", config, "--output", output, *argv]) == 0
+        assert main(["run", config, "--output", output]) == 0
         printed[name] = capsys.readouterr().out.replace(output, "OUTPUT")
     assert printed["traced"] == printed["untraced"]
     assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "untraced.csv").read_bytes()
@@ -429,6 +471,7 @@ OUT_OF_RANGE = {
     "seeds": "-1",
     "episodes": "0",
     "step_budget": "-1",
+    "output": "out/",
     "parallelism": "0",
     "epsilon": "1.5",
     "epsilon_decay": "0",
@@ -457,7 +500,7 @@ def test_out_of_range_value_reports_line_and_key(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config} line {line}: {key}: ")
 
-    if f.metadata["flag"]:
+    if f in dataclasses.fields(SweepOptions):  # the settings that have a flag
         valid, _ = tiny_config(tmp_path)
         assert main(["run", valid, f"--{key.replace('_', '-')}={value}"]) == 1
         assert capsys.readouterr().err.startswith(f"error: --{key}: ")
@@ -479,10 +522,10 @@ def test_repeated_value_rejected(tmp_path, monkeypatch, capsys, key, value):
     text = f"[run]\n{maps}{key} = {value.replace('MAP', map_path)}\n"
     config = write(tmp_path, "dup.ini", text)
     assert main(["run", config]) == 1
-    assert f"{config} line 3: {key}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{config} line 3: {key}: " in err
     if key == "seeds":
-        assert main(["run", tiny_config(tmp_path)[0], "--seeds", value]) == 1
-        assert "--seeds: must be one or more distinct" in capsys.readouterr().err
+        assert "seeds: must be one or more distinct" in err
 
 
 def test_second_spelling_of_a_map_file_rejected(tmp_path, monkeypatch, capsys):
@@ -911,28 +954,25 @@ def test_unusable_output_path_fails_before_training(tmp_path, monkeypatch, capsy
     # A directory where the CSV or its sidecar should be.
     (tmp_path / "outdir").mkdir()
     (tmp_path / "r.csv.traces.json").mkdir()
+    traced, _ = tiny_config(tmp_path, extra_run="log_traces = true\n", name="traced.ini")
     for argv, directory in [
-        (["--output", str(tmp_path / "outdir")], "outdir"),
-        (["--output", str(tmp_path / "r.csv"), "--log-traces"], "r.csv.traces.json"),
+        ([config, "--output", str(tmp_path / "outdir")], "outdir"),
+        ([traced, "--output", str(tmp_path / "r.csv")], "r.csv.traces.json"),
     ]:
-        assert main(["run", config, *argv]) == 2
+        assert main(["run", *argv]) == 2
         assert trained == []
         assert f"{directory} is a directory" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
-    # An empty path names no file.
-    assert main(["run", config, "--output", ""]) == 2
-    assert trained == []
-    assert capsys.readouterr().err == "error: output path is empty\n"
-
-    # A path that ends in a separator, "." or ".." names a directory even
-    # before it exists; it is refused before any directory is made.
+    # An empty path, or one that ends in a separator, "." or "..", names no
+    # file even before it exists: a configuration error, refused before any
+    # directory is made.
     monkeypatch.chdir(tmp_path)
     before = sorted(tmp_path.rglob("*"))
-    for output in ["newdir/", "a/b/c/", "out/.", "o2/.."]:
-        assert main(["run", config, "--output", output]) == 2
+    for output in ["", "newdir/", "a/b/c/", "out/.", "o2/.."]:
+        assert main(["run", config, "--output", output]) == 1
         assert trained == []
-        assert capsys.readouterr().err == f"error: output path {output} is a directory\n"
+        assert capsys.readouterr().err == f"error: --output: must name a file, got {output!r}\n"
         assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -975,6 +1015,10 @@ def test_dead_worker_exits_two(tmp_path, monkeypatch, capsys):
 
 def test_failed_write_leaves_earlier_output(tmp_path, monkeypatch, capsys):
     csv_path, _ = run_with_traces(tmp_path)
+    # Fewer episodes than the earlier run, so a new CSV would differ.
+    config, _ = tiny_config(
+        tmp_path, extra_run="log_traces = true\n", name="short.ini", episodes=2
+    )
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
 
     def failing_write_traces(handle, entries):
@@ -982,9 +1026,7 @@ def test_failed_write_leaves_earlier_output(tmp_path, monkeypatch, capsys):
         raise OSError("disk full")
 
     monkeypatch.setattr(cli, "write_traces", failing_write_traces)
-    config = str(tmp_path / "run.ini")
-    # Fewer episodes than the earlier run, so a new CSV would differ.
-    assert main(["run", config, "--episodes", "2"]) == 2
+    assert main(["run", config]) == 2
     assert "disk full" in capsys.readouterr().err
     after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     assert after == before
@@ -996,7 +1038,7 @@ def test_failed_write_leaves_earlier_output(tmp_path, monkeypatch, capsys):
 
     monkeypatch.undo()
     monkeypatch.setattr(cli, "write_results_csv", failing_write_results_csv)
-    assert main(["run", config, "--episodes", "2"]) == 2
+    assert main(["run", config]) == 2
     assert "disk full" in capsys.readouterr().err
     after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     assert after == before
@@ -1005,7 +1047,7 @@ def test_failed_write_leaves_earlier_output(tmp_path, monkeypatch, capsys):
 def test_untraced_run_replaces_sidecar_with_an_empty_one(tmp_path, monkeypatch, capsys):
     csv_path, map_path = run_with_traces(tmp_path)
     sidecar = csv_path + cli.TRACE_SUFFIX
-    untraced, _ = tiny_config(tmp_path, name="untraced.ini")
+    untraced, _ = tiny_config(tmp_path, name="untraced.ini", episodes=2)
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
 
     # A failed sidecar write exits 2 and leaves both earlier files and no
@@ -1015,12 +1057,12 @@ def test_untraced_run_replaces_sidecar_with_an_empty_one(tmp_path, monkeypatch, 
         raise OSError("disk full")
 
     monkeypatch.setattr(cli, "write_traces", failing_write_traces)
-    assert main(["run", untraced, "--episodes", "2"]) == 2
+    assert main(["run", untraced]) == 2
     assert "disk full" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
     monkeypatch.undo()
 
-    assert main(["run", untraced, "--episodes", "2"]) == 0
+    assert main(["run", untraced]) == 0
     assert capsys.readouterr().out.endswith(f"wrote {csv_path}\nwrote {sidecar}\n")
     assert Path(sidecar).read_bytes() == b'{\n "traces": []\n}\n'  # write_traces([])
     assert main(["render", csv_path, "--map", map_path, "--seed", "1"]) == 2
