@@ -143,7 +143,9 @@ def _build_parser() -> argparse.ArgumentParser:
     render_p.add_argument("--map", required=True, help="map id to select")
     render_p.add_argument("--seed", required=True, type=int, help="seed to select")
     render_p.add_argument("--uavs", type=int, help="narrow the selection by swarm size")
-    render_p.add_argument("--mode", choices=MODES, help="narrow the selection by mode")
+    render_p.add_argument(
+        "--mode", type=str.lower, choices=MODES, help="narrow the selection by mode"
+    )
     render_p.set_defaults(func=cmd_render)
 
     maps_p = sub.add_parser("maps", help="list the bundled maps")

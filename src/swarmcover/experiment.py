@@ -25,9 +25,10 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .agent import LOCAL, MODES, SwarmController, step_swarm
-from .densenet import N_ACTIONS, NumericalError, one_blas_thread
+from .densenet import NumericalError, one_blas_thread
 from .gridworld import (
     MAX_UAVS,
+    Action,
     GridMap,
     SwarmState,
     initial_swarm_state,
@@ -230,7 +231,7 @@ class EpisodeRecord:
     @property
     def moves(self) -> tuple[tuple[int, int], ...]:
         """The (uav, action) pairs of ``trace``."""
-        return tuple(divmod(move, N_ACTIONS) for move in self.trace)
+        return tuple(divmod(move, len(Action)) for move in self.trace)
 
     @property
     def total_actions(self) -> int:
@@ -286,7 +287,7 @@ def run_episode(
         uav = state.global_step % spec.n_uavs
         state, experience = step_swarm(state, uav, observation, controller, epsilon, rng)
         observation, done = experience.next_observation, experience.terminal
-        trace.append(N_ACTIONS * uav + experience.action)
+        trace.append(len(Action) * uav + experience.action)
     return EpisodeRecord(
         episode=episode_index,
         covered=is_coverage_complete(grid, state),

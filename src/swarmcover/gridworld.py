@@ -96,11 +96,8 @@ class GridMap:
     def free_count(self) -> int:
         return int(self.rows * self.cols - np.count_nonzero(self.obstacles))
 
-    def in_bounds(self, row: int, col: int) -> bool:
-        return 0 <= row < self.rows and 0 <= col < self.cols
-
     def is_free(self, row: int, col: int) -> bool:
-        return self.in_bounds(row, col) and not self.obstacles[row, col]
+        return 0 <= row < self.rows and 0 <= col < self.cols and not self.obstacles[row, col]
 
     def free_cells(self) -> list[tuple[int, int]]:
         """All free cells in row-major order."""

@@ -810,6 +810,19 @@ def test_render_notes_other_matching_runs(tmp_path, capsys):
     assert err == "note: 4 runs match; rendering 1 uav local (narrow with --uavs/--mode)\n"
 
 
+def test_render_mode_takes_the_spellings_of_the_modes_key(tmp_path, capsys):
+    # The config lowercases `modes`, so `--mode GLOBAL` selects as `global` does.
+    config, map_path = tiny_config(
+        tmp_path, extra_run="modes = local, global\nlog_traces = true\n"
+    )
+    assert main(["run", config]) == 0
+    capsys.readouterr()
+    csv_path = str(tmp_path / "results.csv")
+    argv = ["render", csv_path, "--map", map_path, "--seed", "1", "--mode", "GLOBAL"]
+    assert main(argv) == 0
+    assert " 1 uav global " in capsys.readouterr().out.splitlines()[0]
+
+
 def test_render_move_count_matches_best(tmp_path):
     csv_path, map_path = run_with_traces(tmp_path)
     sidecar = json.loads((tmp_path / "results.csv.traces.json").read_text())

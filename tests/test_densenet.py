@@ -3,6 +3,7 @@
 import copy
 import ctypes
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,6 @@ from swarmcover.densenet import (
     DenseLayer,
     NumericalError,
     QNetwork,
-    ShapeError,
     _openblas_thread_calls,
     forward,
     init_network,
@@ -130,7 +130,7 @@ def test_forward_relu_cuts_negative_preactivation():
 
 def test_forward_shape_error():
     net = toy_network()
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=re.escape("input has shape (3,), expected (2,)")):
         forward(net, np.ones(3))
 
 
@@ -192,22 +192,25 @@ def test_train_step_untaken_action_isolation():
 
 
 def test_train_step_shape_error():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=re.escape("input has shape (1, 5), expected (k, 2)")):
         train_step(toy_network(), np.ones(5), 0, 1.0, 0.1)
 
 
 @pytest.mark.parametrize(
-    "rows, next_rows, n_actions, n_targets",
+    "rows, next_rows, n_actions, n_targets, message",
     [
-        (2, 3, 2, None),  # one next observation too many
-        (2, 1, 2, None),  # one too few
-        (2, None, 1, 2),  # too few actions
-        (2, None, 2, 1),  # too few targets
-        (2, None, 3, 2),  # too many actions
-        (0, None, 0, 0),  # no observations at all
+        # Ids name a case by its sizes, so it keeps its name if its message changes.
+        pytest.param(2, 3, 2, None, "3 next observations for 2 observations", id="2-3-2-None"),
+        pytest.param(2, 1, 2, None, "1 next observations for 2 observations", id="2-1-2-None"),
+        pytest.param(2, None, 1, 2, "1 actions for 2 observations", id="2-None-1-2"),
+        pytest.param(2, None, 2, 1, "1 targets for 2 observations", id="2-None-2-1"),
+        pytest.param(2, None, 3, 2, "3 actions for 2 observations", id="2-None-3-2"),
+        pytest.param(0, None, 0, 0, "no observations", id="0-None-0-0"),
     ],
 )
-def test_train_step_batch_length_mismatch_raises(rows, next_rows, n_actions, n_targets):
+def test_train_step_batch_length_mismatch_raises(
+    rows, next_rows, n_actions, n_targets, message
+):
     net = toy_network()
     observations = np.ones((rows, 2))
     actions = [0] * n_actions
@@ -215,12 +218,12 @@ def test_train_step_batch_length_mismatch_raises(rows, next_rows, n_actions, n_t
         args = (observations, actions, [1.0] * n_targets, 0.1)
     else:
         args = (observations, actions, lambda i, q: 1.0, 0.1, np.ones((next_rows, 2)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         train_step(net, *args)
 
 
 def test_forward_rejects_a_batch():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=re.escape("input has shape (2, 2), expected (2,)")):
         forward(toy_network(), np.ones((2, 2)))
 
 

@@ -8,9 +8,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from swarmcover import agent
+from swarmcover import agent, experiment
 from swarmcover.agent import SwarmController
-from swarmcover.densenet import NumericalError
+from swarmcover.densenet import NumericalError, _openblas_thread_calls
 from swarmcover.experiment import (
     CSV_HEADER,
     ConfigError,
@@ -213,6 +213,32 @@ def test_run_experiment_one_result_per_seed():
     spec = tiny_spec(seeds=(1, 2, 3, 4, 5), max_episodes=2)
     results = run_experiment(spec)
     assert [r.seed for r in results] == [1, 2, 3, 4, 5]
+
+
+def test_run_seed_trains_on_one_blas_thread(monkeypatch):
+    """Every episode of a run sees OpenBLAS on one thread, and the run
+    restores the count it started from."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    get_threads, set_threads = calls
+    seen = []
+
+    def recording_episode(*args):
+        seen.append(get_threads())
+        return run_episode(*args)
+
+    monkeypatch.setattr(experiment, "run_episode", recording_episode)
+    before = get_threads()
+    set_threads(2)
+    try:
+        if get_threads() != 2:
+            pytest.skip("OpenBLAS does not take a second thread here")
+        run_seed(tiny_spec(max_episodes=2), 1)
+        assert seen == [1, 1]
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
 
 
 def test_best_episode_selection():
